@@ -304,7 +304,7 @@ func BenchmarkAblationSkewSolver(b *testing.B) {
 	}
 	b.Run("graph-binary-search", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := skew.MaxSlack(n, pairs, 1000, 30, 15, 1e-3); err != nil {
+			if _, _, err := skew.MaxSlack(nil, n, pairs, 1000, 30, 15, 1e-3); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -360,7 +360,11 @@ func BenchmarkAblationWireModel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := placer.Global(c, placer.Options{}); err != nil {
+	sys, err := placer.NewSystem(c, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.Global(placer.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	pp := power.DefaultParams()
@@ -407,7 +411,11 @@ func BenchmarkPlacerGlobal(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := placer.Global(c, placer.Options{}); err != nil {
+		sys, err := placer.NewSystem(c, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.Global(placer.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		if err := placer.Legalize(c); err != nil {

@@ -150,8 +150,9 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "rotaryflow: unknown objective %q\n", *objective)
 		return 2
 	}
+	// A registry per run: its stage spans are the CPU line's only timer.
+	cfg.Obs = obs.NewRegistry()
 	if *metrics != "" || *trace != "" {
-		cfg.Obs = obs.NewRegistry()
 		// The registry snapshot (not Result.Metrics) backs the export so the
 		// spans are written even on error exits; the deferred root End in
 		// core.Run guarantees they are closed.
@@ -231,7 +232,8 @@ func run() int {
 	if res.Base.TotalWL > 0 {
 		fmt.Printf("total WL improvement:   %s\n", report.Percent((res.Base.TotalWL-res.Final.TotalWL)/res.Base.TotalWL))
 	}
-	fmt.Printf("CPU: placement %.2fs, optimization %.2fs\n", res.PlaceSeconds, res.OptSeconds)
+	place, opt := core.CPUSeconds(res.Metrics)
+	fmt.Printf("CPU: placement %.2fs, optimization %.2fs\n", place, opt)
 	return 0
 }
 

@@ -85,8 +85,8 @@ func run() int {
 		Scale: *scale, ILPBudget: *budget, ILPNodes: *ilpNodes,
 		Parallelism: *jobs, Strict: *strict, TimingDriven: *timing,
 		Multilevel: *ml,
-		Metrics:    *metrics != "" || *trace != "",
 	}
+	telemetry := *metrics != "" || *trace != ""
 	if *deadline > 0 {
 		tok, release := stop.WithTimeout(*deadline)
 		defer release()
@@ -101,7 +101,7 @@ func run() int {
 	}
 
 	needRuns := want["II"] || want["III"] || want["IV"] || want["V"] || want["VI"] || want["VII"] ||
-		want["VAR"] || want["TREES"] || opt.Metrics
+		want["VAR"] || want["TREES"] || telemetry
 	var runs []*exp.CircuitRun
 	if needRuns {
 		var err error
@@ -184,7 +184,7 @@ func run() int {
 		fmt.Println(exp.RenderFig2(f))
 	}
 
-	if opt.Metrics {
+	if telemetry {
 		fmt.Println(exp.RenderTelemetry(exp.TelemetryTable(runs)))
 		if err := writeSnapshots(*metrics, *trace, runs); err != nil {
 			fmt.Fprintln(os.Stderr, "rotarytables:", err)

@@ -107,7 +107,11 @@ func TestPlacementReducesCongestionPeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := placer.Global(c, placer.Options{}); err != nil {
+	sys, err := placer.NewSystem(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Global(placer.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := Estimate(c, 8)

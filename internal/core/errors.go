@@ -90,14 +90,16 @@ func (e *StageError) Unwrap() error { return e.Err }
 
 // stageErr builds a *StageError, classifying err when kind is not forced.
 func stageErr(stage, iter int, err error) *StageError {
-	return &StageError{Stage: stage, Iter: iter, Kind: classify(err), Err: err}
+	return &StageError{Stage: stage, Iter: iter, Kind: Classify(err), Err: err}
 }
 
-// classify maps a solver error onto the taxonomy via the packages' sentinel
+// Classify maps a solver error onto the taxonomy via the packages' sentinel
 // errors. Unrecognized errors are Internal: every known caller-data problem
 // is covered by a sentinel below, so an unclassified failure means a broken
-// flow invariant.
-func classify(err error) Kind {
+// flow invariant. Exported for layers above the flow — e.g. internal/exp
+// classifying a post-run analysis failure into the same event log Run
+// writes.
+func Classify(err error) Kind {
 	switch {
 	case err == nil:
 		return Internal
@@ -119,12 +121,6 @@ func classify(err error) Kind {
 	}
 	return Internal
 }
-
-// Classify maps a solver error onto the Kind taxonomy via the solver
-// packages' sentinel errors (Internal for anything unrecognized). Exported
-// for layers above the flow — e.g. the experiment driver classifying a
-// post-run analysis failure into the same event log Run writes.
-func Classify(err error) Kind { return classify(err) }
 
 // StageEvent records one recovery or degradation action Run took instead of
 // failing. Events appear in Result.Events in the order they happened, so the

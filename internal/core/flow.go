@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/geom"
@@ -247,20 +246,32 @@ type Result struct {
 	// slack refresh). Empty on a clean run.
 	Events []StageEvent
 
-	PlaceSeconds float64 // CPU in placement stages (1 and 6)
-	OptSeconds   float64 // CPU in stages 2-5
-
 	// Metrics is the observability snapshot of the run — per-stage and
 	// per-iteration spans plus every solver counter — taken at exit with
 	// all spans closed. It is populated on successful AND Degraded exits
 	// whenever a registry is in effect (Config.Obs set or the global
-	// registry armed), and nil when observability is disarmed.
+	// registry armed), and nil when observability is disarmed. Its spans
+	// are the run's only wall-clock record (see CPUSeconds).
 	Metrics *obs.Snapshot
 }
 
 // event appends a recovery/degradation record to the result log.
 func (r *Result) event(stage, iter int, kind Kind, action string, err error) {
 	r.Events = append(r.Events, StageEvent{Stage: stage, Iter: iter, Kind: kind, Action: action, Err: err})
+}
+
+// CPUSeconds splits a run's wall time into the two CPU columns of Tables III
+// and IV, summed from the stage spans of its metrics snapshot: placement is
+// stages 1 and 6 (stage1.place, stage6.place), optimization is max-slack,
+// assignment, slack refresh and cost-driven skew (stage2.maxslack,
+// stage3.assign, stage4.slack-refresh, stage4.skew). A nil snapshot — a run
+// with observability disarmed — reports zeros.
+func CPUSeconds(m *obs.Snapshot) (place, opt float64) {
+	place = m.SpanSeconds("stage1.place") + m.SpanSeconds("stage6.place")
+	for _, name := range []string{"stage2.maxslack", "stage3.assign", "stage4.slack-refresh", "stage4.skew"} {
+		opt += m.SpanSeconds(name)
+	}
+	return place, opt
 }
 
 // Run executes the integrated flow on the circuit (placement is written onto
@@ -270,513 +281,50 @@ func Run(c *netlist.Circuit, cfg Config) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("invalid circuit: %w", err)}
 	}
-	res := &Result{FFCells: c.FlipFlops()}
-	n := len(res.FFCells)
-	if n == 0 {
+	ffCells := c.FlipFlops()
+	if len(ffCells) == 0 && cfg.Strict {
 		// A circuit with no flip-flops has nothing for stages 2-6 to
-		// optimize, but it is still a placeable netlist. Strict mode keeps
-		// the hard error; otherwise the flow degenerates gracefully to
-		// stage 1 (placement) plus the ring array, with an empty assignment
-		// and signal-only metrics.
-		if cfg.Strict {
-			return nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("circuit %q has no flip-flops", c.Name)}
-		}
-		return runSignalOnly(c, cfg, res)
+		// optimize. Strict mode keeps the hard error; otherwise the run ends
+		// after stage 1 and the ring array (see flow.run).
+		return nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("circuit %q has no flip-flops", c.Name)}
 	}
-	ffIdx := make(map[int]int, n)
-	for i, id := range res.FFCells {
-		ffIdx[id] = i
-	}
-
-	// Observability: one root span for the run, a child per stage, and a
-	// child per re-optimization iteration. The deferred End is the
-	// structural guarantee that every span closes on every exit path —
-	// recovery ladders, Degraded breaks, and hard errors included — since
-	// End recursively closes open children. The snapshot flushed into
-	// Result.Metrics is taken after an explicit End at the result-returning
-	// exits, so recorded durations are final.
-	reg := obs.Resolve(cfg.Obs)
-	reg.Add("core.runs", 1)
-	root := reg.StartSpan("core.Run",
-		obs.S("circuit", c.Name),
-		obs.S("assigner", cfg.Assigner.String()),
-		obs.I("rings", cfg.NumRings),
-		obs.I("flipflops", n))
-	defer root.End()
-
-	// The quadratic placement system is assembled once here and reused by
-	// every placer call of the run — the initial global placement and all
-	// stage-6 incremental re-placements — because the net connectivity it
-	// encodes never changes across flow iterations; only the anchor overlay
-	// (pseudo-nets, stability anchors) differs per solve. A caller-supplied
-	// template system skips even that one assembly: the fork shares the
-	// immutable connectivity and carries job-local mutable state.
-	var psys *placer.System
-	if cfg.System != nil {
-		fk, err := cfg.System.Fork(c, reg)
-		if err != nil {
-			return nil, &StageError{Stage: 1, Kind: InvalidInput, Err: fmt.Errorf("forking placement system: %w", err)}
-		}
-		psys = fk
-	} else {
-		ns, err := placer.NewSystem(c, reg)
-		if err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("placement system: %w", err))
-		}
-		psys = ns
-	}
-
-	// degradeEarly finishes a run stopped before the base case exists. The
-	// consistent prefix reached so far (best-effort legalized placement,
-	// ring array, possibly a stage-2 schedule) is still a valid — if
-	// empty-handed — result, so non-strict callers get it back Degraded
-	// with the stop event recorded instead of an error; strict callers get
-	// the typed failure. Only stop errors route here.
-	degradeEarly := func(stage int, err error) (*Result, error) {
-		se := stageErr(stage, 0, err)
-		if cfg.Strict {
-			return nil, se
-		}
-		res.event(stage, 0, se.Kind, "stopped before the base case; returning partial result", err)
-		res.Degraded = true
-		if stage == 1 && !cfg.SkipInitialPlace {
-			// The canceled solve wrote its best iterate onto the circuit;
-			// legalization turns it into a usable (overlap-free) placement.
-			if lerr := placer.Legalize(c); lerr != nil {
-				res.event(1, 0, Internal, "legalizing partial placement failed", lerr)
-			}
-		}
-		if res.Array == nil {
-			if a, aerr := rotary.SquareArray(c.Die, cfg.NumRings, cfg.RingFill, cfg.Params); aerr == nil {
-				res.Array = a
-			}
-		}
-		if res.Assign == nil {
-			numRings := 0
-			if res.Array != nil {
-				numRings = len(res.Array.Rings)
-			}
-			res.Assign = &assign.Assignment{
-				Ring:  []int{},
-				Taps:  []rotary.Tap{},
-				Loads: make([]float64, numRings),
-			}
-		}
-		if res.Schedule == nil {
-			res.Schedule = []float64{}
-		}
-		res.Base = measure(c, cfg, res.Assign, n)
-		res.Final = res.Base
-		res.PerIter = append(res.PerIter, res.Base)
-		if reg != nil {
-			reg.Add("core.events", int64(len(res.Events)))
-			reg.Add("core.degraded", 1)
-			root.End()
-			res.Metrics = reg.Snapshot()
-		}
-		return res, nil
-	}
-
-	// Stage 1: initial placement. Conjugate-gradients stagnation is the one
-	// recoverable failure here: the positions written back are a usable
-	// iterate, and one retry at a 100x looser tolerance almost always
-	// converges. Anything else in stage 1 is a hard error.
-	tPlace := time.Now()
-	s1 := root.Child("stage1.place")
-	if !cfg.SkipInitialPlace {
-		if cfg.Multilevel {
-			reg.Add("core.ml.runs", 1)
-			s1.Set(obs.S("multilevel", "on"))
-		}
-		err := psys.Global(placer.Options{Parallelism: cfg.Parallelism, Obs: reg, Stop: cfg.Stop, Multilevel: cfg.Multilevel})
-		if err != nil && errors.Is(err, placer.ErrNonConverged) && !cfg.Strict {
-			res.event(1, 0, NonConverged, "retrying global placement at 100x looser CG tolerance", err)
-			err = psys.Global(placer.Options{Parallelism: cfg.Parallelism, CGTol: 1e-4, Obs: reg, Stop: cfg.Stop, Multilevel: cfg.Multilevel})
-			if err != nil && errors.Is(err, placer.ErrNonConverged) {
-				// Both solves stagnated; the best-effort iterate is on the
-				// circuit and legalization makes it usable.
-				res.event(1, 0, NonConverged, "keeping best-effort placement from stagnated solve", err)
-				err = nil
-			}
-		}
-		if err != nil {
-			if stop.IsStop(err) {
-				res.PlaceSeconds += time.Since(tPlace).Seconds()
-				return degradeEarly(1, fmt.Errorf("global placement: %w", err))
-			}
-			return nil, stageErr(1, 0, fmt.Errorf("global placement: %w", err))
-		}
-		if err := placer.Legalize(c); err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("legalization: %w", err))
-		}
-		// Detailed refinement only on the initial placement: inside the
-		// loop, swap-based refinement would pull flip-flops off the tapping
-		// points the pseudo-nets just placed them at.
-		if _, err := placer.Detailed(c, 2); err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("detailed placement: %w", err))
-		}
-	}
-	s1.End()
-	res.PlaceSeconds += time.Since(tPlace).Seconds()
-	if serr := cfg.Stop.Err(); serr != nil {
-		// Placement is complete and legal; the run stops at the stage
-		// boundary with a placement-only result.
-		return degradeEarly(2, fmt.Errorf("after placement: %w", serr))
-	}
-
-	// Rotary ring array over the die.
-	arr, err := rotary.SquareArray(c.Die, cfg.NumRings, cfg.RingFill, cfg.Params)
-	if err != nil {
-		return nil, &StageError{Stage: 3, Kind: InvalidInput, Err: fmt.Errorf("ring array: %w", err)}
-	}
-	res.Array = arr
-
-	// Stage 2: max-slack skew optimization. No recovery ladder exists here:
-	// with nothing assigned yet there is no weaker schedule to fall back to,
-	// so an unsatisfiable constraint system is a hard (typed) failure.
-	tOpt := time.Now()
-	s2 := root.Child("stage2.maxslack")
-	pairs, err := seqPairs(c, cfg.TModel, ffIdx)
-	if err != nil {
-		return nil, stageErr(2, 0, err)
-	}
-	M, sched, err := skew.MaxSlackExactStop(cfg.Stop, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold)
-	if err != nil {
-		if stop.IsStop(err) {
-			res.OptSeconds += time.Since(tOpt).Seconds()
-			return degradeEarly(2, fmt.Errorf("max-slack skew optimization: %w", err))
-		}
-		return nil, stageErr(2, 0, fmt.Errorf("max-slack skew optimization: %w", err))
-	}
-	res.MaxSlack = M
-	res.Schedule = sched
-	s2.Set(obs.I("pairs", len(pairs)), obs.F("max_slack_ps", M))
-	s2.End()
-
-	// Stage 3: initial assignment -> base case metrics. The tapping-solve
-	// cache lives for the whole flow: across the re-optimization loop most
-	// flip-flops keep their (position, target) pair from one iteration to
-	// the next, so their candidate arcs come from the cache instead of
-	// being re-solved.
-	tapCache := cfg.TapCache
-	if tapCache == nil {
-		tapCache = assign.NewTapCache()
-	}
-	s3 := root.Child("stage3.assign")
-	asg, err := assignRecover(c, cfg, arr, res.FFCells, sched, tapCache, res, 0, reg)
-	if err != nil {
-		if stop.IsStop(err) {
-			res.OptSeconds += time.Since(tOpt).Seconds()
-			return degradeEarly(3, fmt.Errorf("assignment: %w", err))
-		}
-		return nil, stageErr(3, 0, err)
-	}
-	s3.End()
-	res.Assign = asg
-	res.OptSeconds += time.Since(tOpt).Seconds()
-	res.Base = measure(c, cfg, asg, n)
-	res.Final = res.Base
-	res.PerIter = append(res.PerIter, res.Base)
-
-	// Stages 4-6 loop. Each iteration moves flip-flops toward their current
-	// tapping points, then re-derives a consistent (timing, schedule,
-	// assignment) triple for the new placement and measures it. The best
-	// iterate is kept; its placement is restored at the end, so the
-	// reported schedule provably satisfies the timing constraints of the
-	// reported cell locations.
-	res.WorkSlack = workSlack(cfg.SlackFrac, M)
-	best := snapshot{
-		pos:   c.Positions(),
-		sched: sched,
-		asg:   asg,
-		m:     res.Base,
-		mWork: res.WorkSlack,
-	}
-	// Stage-5 evaluation: the network-flow formulation optimizes wirelength
-	// (weighted sum of tapping and signal WL); the ILP formulation optimizes
-	// frequency, so its iterations are judged by the wirelength-capacitance
-	// product instead (Table VII's metric).
-	cost := func(m Metrics) float64 {
-		if cfg.Assigner == ILP {
-			return m.WCP
-		}
-		return cfg.TapWeight*m.TapWL + m.SignalWL
-	}
-	prevCost := cost(res.Base)
-	bestCost := prevCost
-	stall := 0
-	// Timing-driven mode: one criticality scale per net, persistent across
-	// iterations so the exponential-decay history damps oscillation. Nil
-	// when the mode is off — the placer then takes its untouched base path.
-	var netScale []float64
-	if cfg.TimingDriven {
-		netScale = make([]float64, len(c.Nets))
-		for i := range netScale {
-			netScale[i] = 1
-		}
-	}
-	// fail handles an unrecoverable mid-loop failure: a hard StageError in
-	// strict mode, otherwise a degradation event. It returns the StageError
-	// to raise, or nil to degrade (caller breaks the loop).
-	fail := func(stage, iter int, err error) *StageError {
-		se := stageErr(stage, iter, err)
-		if cfg.Strict {
-			return se
-		}
-		res.event(stage, iter, se.Kind, "stopping re-optimization; keeping best snapshot", err)
-		res.Degraded = true
-		return nil
-	}
-loop:
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		if serr := cfg.Stop.Err(); serr != nil {
-			if se := fail(6, iter, fmt.Errorf("before iteration: %w", serr)); se != nil {
-				return nil, se
-			}
-			break loop
-		}
-		reg.Add("core.iterations", 1)
-		itSp := root.Child("flow.iter", obs.I("iter", iter))
-		// Timing-driven reweighting: rank the lowest-slack sequential pairs
-		// under the current schedule and boost the nets their D_max paths
-		// cross, so the stage-6 re-place pulls them shorter.
-		if cfg.TimingDriven {
-			tw := itSp.Child("stage6.reweight")
-			timingReweight(c, &cfg, res, ffIdx, sched, netScale, iter, reg)
-			tw.End()
-		}
-		// Stage 6: pseudo-net incremental placement toward the current
-		// assignment's tapping points.
-		tPlace = time.Now()
-		sp6 := itSp.Child("stage6.place")
-		pn := make([]placer.PseudoNet, 0, n)
-		for i, id := range res.FFCells {
-			pn = append(pn, placer.PseudoNet{
-				Cell:   id,
-				Target: asg.Taps[i].Point,
-				Weight: cfg.PseudoWeight * float64(iter),
-			})
-		}
-		err := psys.Incremental(placer.Options{PseudoNets: pn, NetWeights: netScale, Parallelism: cfg.Parallelism, Obs: reg, Stop: cfg.Stop})
-		if err != nil && errors.Is(err, placer.ErrNonConverged) && !cfg.Strict {
-			res.event(6, iter, NonConverged, "retrying incremental placement at 100x looser CG tolerance", err)
-			err = psys.Incremental(placer.Options{PseudoNets: pn, NetWeights: netScale, Parallelism: cfg.Parallelism, CGTol: 1e-4, Obs: reg, Stop: cfg.Stop})
-			if err != nil && errors.Is(err, placer.ErrNonConverged) {
-				res.event(6, iter, NonConverged, "keeping best-effort placement from stagnated solve", err)
-				err = nil
-			}
-		}
-		if err != nil {
-			if se := fail(6, iter, fmt.Errorf("incremental placement: %w", err)); se != nil {
-				return nil, se
-			}
-			break loop
-		}
-		if err := placer.Legalize(c); err != nil {
-			if se := fail(6, iter, fmt.Errorf("legalization: %w", err)); se != nil {
-				return nil, se
-			}
-			break loop
-		}
-		// Recover signal wirelength disturbed by the pull + legalization,
-		// holding the flip-flops where the pseudo-nets put them.
-		if _, err := placer.DetailedExcluding(c, 1, res.FFCells); err != nil {
-			if se := fail(6, iter, fmt.Errorf("detailed placement: %w", err)); se != nil {
-				return nil, se
-			}
-			break loop
-		}
-		sp6.End()
-		res.PlaceSeconds += time.Since(tPlace).Seconds()
-
-		// Stage 4 on the new placement: re-derive the working slack and the
-		// cost-driven schedule.
-		tOpt = time.Now()
-		sp4 := itSp.Child("stage4.slack-refresh")
-		pairs, err = seqPairs(c, cfg.TModel, ffIdx)
-		if err != nil {
-			if se := fail(4, iter, err); se != nil {
-				return nil, se
-			}
-			break loop
-		}
-		mWork := res.WorkSlack
-		var msSched []float64 // fresh max-slack schedule, stage 4's last-resort fallback
-		if mi, ms, err := skew.MaxSlackExactStop(cfg.Stop, n, pairs, cfg.Params.Period, cfg.TModel.TSetup, cfg.TModel.THold); err == nil {
-			mWork = workSlack(cfg.SlackFrac, mi)
-			msSched = ms
-		} else if stop.IsStop(err) {
-			// A fired token is not a property of this placement; stop the
-			// loop on the snapshot rather than optimizing against stale
-			// margins.
-			if se := fail(2, iter, fmt.Errorf("in-loop slack refresh: %w", err)); se != nil {
-				return nil, se
-			}
-			break loop
-		} else if cfg.Strict {
-			return nil, stageErr(2, iter, fmt.Errorf("in-loop slack refresh: %w", err))
-		} else {
-			// The placement moved into a state the slack solver rejects;
-			// keep optimizing against the previous margin rather than
-			// silently pretending the refresh happened.
-			res.event(2, iter, classify(err), "in-loop slack refresh failed; reusing previous working slack", err)
-		}
-		sp4.End()
-		// Inner fixed point of stages 4 and 3: the schedule chases the
-		// nearest ring phases and the assignment chases the schedule; two
-		// rounds settle the pair for the current placement.
-		for inner := 0; inner < 2; inner++ {
-			c4 := itSp.Child("stage4.skew", obs.I("round", inner))
-			sched, mWork, err = costDrivenRecover(c, cfg, arr, res.FFCells, asg, sched, pairs, mWork, msSched, res, iter, reg)
-			if err != nil {
-				if se := fail(4, iter, fmt.Errorf("cost-driven skew: %w", err)); se != nil {
-					return nil, se
-				}
-				break loop
-			}
-			c4.End()
-			c3 := itSp.Child("stage3.assign", obs.I("round", inner))
-			asg, err = assignRecover(c, cfg, arr, res.FFCells, sched, tapCache, res, iter, reg)
-			if err != nil {
-				if se := fail(3, iter, fmt.Errorf("assignment: %w", err)); se != nil {
-					return nil, se
-				}
-				break loop
-			}
-			c3.End()
-		}
-		res.OptSeconds += time.Since(tOpt).Seconds()
-
-		sp5 := itSp.Child("stage5.evaluate")
-		m := measure(c, cfg, asg, n)
-		res.PerIter = append(res.PerIter, m)
-		res.Iterations = iter
-		if cost(m) < bestCost {
-			bestCost = cost(m)
-			best = snapshot{pos: c.Positions(), sched: sched, asg: asg, m: m, mWork: mWork}
-		}
-
-		// Stage 5: convergence on the overall cost, the paper's weighted sum
-		// of total tapping cost and traditional placement cost. One stalled
-		// iteration is tolerated (the pseudo-net ramp often recovers it);
-		// two in a row end the loop.
-		converged := false
-		if prevCost-cost(m) < cfg.ConvergeTol*prevCost {
-			stall++
-			converged = stall >= 2
-		} else {
-			stall = 0
-		}
-		sp5.Set(obs.F("cost", cost(m)))
-		sp5.End()
-		itSp.End()
-		if converged {
-			break
-		}
-		prevCost = cost(m)
-	}
-
-	// Restore the best iterate.
-	if err := c.SetPositions(best.pos); err != nil {
-		// The snapshot came from this circuit, so a mismatch here is a
-		// broken flow invariant, not recoverable state.
-		return nil, &StageError{Stage: 5, Iter: res.Iterations, Kind: Internal, Err: fmt.Errorf("restoring best placement: %w", err)}
-	}
-	res.Assign = best.asg
-	res.Schedule = best.sched
-	res.Final = best.m
-	res.WorkSlack = best.mWork
-	// Flush telemetry into the result. This is the one result-returning
-	// exit, shared by clean and Degraded runs alike: End the root span
-	// explicitly (idempotent; recursively closes spans a Degraded break
-	// left open) so every recorded duration is final, then snapshot.
-	if reg != nil {
-		reg.Add("core.events", int64(len(res.Events)))
-		if res.Degraded {
-			reg.Add("core.degraded", 1)
-		}
-		root.End()
-		res.Metrics = reg.Snapshot()
-	}
-	return res, nil
+	f := newFlow(c, cfg, ffCells)
+	// The deferred End is the structural guarantee that every span closes on
+	// every exit path, raised errors included, since End recursively closes
+	// open children.
+	defer f.root.End()
+	return f.run()
 }
 
-// runSignalOnly is the zero-flip-flop degenerate flow: stage-1 placement and
-// the ring array are still built (the circuit is a legitimate placement
-// instance and the array a legitimate clock resource), but stages 2-5 have no
-// sequential elements to operate on, so the result carries an empty
-// assignment, a zero max-slack schedule, and signal-only metrics. Only
-// reached in non-strict mode.
-func runSignalOnly(c *netlist.Circuit, cfg Config, res *Result) (*Result, error) {
-	reg := obs.Resolve(cfg.Obs)
-	reg.Add("core.runs", 1)
-	root := reg.StartSpan("core.Run",
-		obs.S("circuit", c.Name),
-		obs.S("assigner", cfg.Assigner.String()),
-		obs.I("rings", cfg.NumRings),
-		obs.I("flipflops", 0))
-	defer root.End()
+// flow is the state of one Run: its inputs, the result being filled, the
+// telemetry handles, and the working (placement, schedule, assignment)
+// triple the stages hand each other. Stage methods read and write it; run
+// drives them, and exit is the one way out.
+type flow struct {
+	c    *netlist.Circuit
+	cfg  Config
+	res  *Result
+	reg  *obs.Registry
+	root *obs.Span
 
-	psys, err := placer.NewSystem(c, reg)
-	if err != nil {
-		return nil, stageErr(1, 0, fmt.Errorf("placement system: %w", err))
-	}
-	tPlace := time.Now()
-	s1 := root.Child("stage1.place")
-	if !cfg.SkipInitialPlace {
-		if cfg.Multilevel {
-			reg.Add("core.ml.runs", 1)
-			s1.Set(obs.S("multilevel", "on"))
-		}
-		err := psys.Global(placer.Options{Parallelism: cfg.Parallelism, Obs: reg, Stop: cfg.Stop, Multilevel: cfg.Multilevel})
-		if err != nil && errors.Is(err, placer.ErrNonConverged) {
-			res.event(1, 0, NonConverged, "keeping best-effort placement from stagnated solve", err)
-			err = nil
-		}
-		if err != nil && stop.IsStop(err) {
-			// Only reached in non-strict mode: keep the best-effort iterate
-			// and degrade, like the flip-flop flow's early-degrade path.
-			res.event(1, 0, classify(err), "stopped during placement; keeping best-effort iterate", err)
-			res.Degraded = true
-			err = nil
-		}
-		if err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("global placement: %w", err))
-		}
-		if err := placer.Legalize(c); err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("legalization: %w", err))
-		}
-		if _, err := placer.Detailed(c, 2); err != nil {
-			return nil, stageErr(1, 0, fmt.Errorf("detailed placement: %w", err))
-		}
-	}
-	s1.End()
-	res.PlaceSeconds += time.Since(tPlace).Seconds()
+	n     int         // flip-flops
+	ffIdx map[int]int // cell ID -> flip-flop index
+	psys  *placer.System
+	tap   *assign.TapCache
 
-	arr, err := rotary.SquareArray(c.Die, cfg.NumRings, cfg.RingFill, cfg.Params)
-	if err != nil {
-		return nil, &StageError{Stage: 3, Kind: InvalidInput, Err: fmt.Errorf("ring array: %w", err)}
-	}
-	res.Array = arr
-	res.Assign = &assign.Assignment{
-		Ring:  []int{},
-		Taps:  []rotary.Tap{},
-		Loads: make([]float64, len(arr.Rings)),
-	}
-	res.Schedule = []float64{}
-	res.event(2, 0, InvalidInput, "no flip-flops: skipping skew, assignment, and re-optimization stages", nil)
-	res.Base = measure(c, cfg, res.Assign, 0)
-	res.Final = res.Base
-	res.PerIter = append(res.PerIter, res.Base)
-	if reg != nil {
-		reg.Add("core.events", int64(len(res.Events)))
-		if res.Degraded {
-			reg.Add("core.degraded", 1)
-		}
-		root.End()
-		res.Metrics = reg.Snapshot()
-	}
-	return res, nil
+	iter     int  // re-optimization iteration, 0 before the loop
+	based    bool // the base case exists: failures now keep the best snapshot
+	pairs    []skew.SeqPair
+	sched    []float64
+	asg      *assign.Assignment
+	mWork    float64   // working slack the current schedule is feasible at
+	msSched  []float64 // fresh max-slack schedule, stage 4's last-resort fallback
+	netScale []float64 // timing-driven net criticality; nil when the mode is off
+
+	best               snapshot
+	prevCost, bestCost float64
+	stall              int
+	converged          bool
 }
 
 // snapshot captures one consistent (placement, schedule, assignment) state.
@@ -786,6 +334,457 @@ type snapshot struct {
 	asg   *assign.Assignment
 	m     Metrics
 	mWork float64
+}
+
+// newFlow opens the run's telemetry: one root span for the run, under which
+// the runner opens a child per stage and per re-optimization iteration.
+func newFlow(c *netlist.Circuit, cfg Config, ffCells []int) *flow {
+	f := &flow{c: c, cfg: cfg, res: &Result{FFCells: ffCells}, n: len(ffCells), reg: obs.Resolve(cfg.Obs)}
+	f.ffIdx = make(map[int]int, f.n)
+	for i, id := range ffCells {
+		f.ffIdx[id] = i
+	}
+	f.reg.Add("core.runs", 1)
+	f.root = f.reg.StartSpan("core.Run",
+		obs.S("circuit", c.Name),
+		obs.S("assigner", cfg.Assigner.String()),
+		obs.I("rings", cfg.NumRings),
+		obs.I("flipflops", f.n))
+	// The tapping-solve cache lives for the whole flow: across the
+	// re-optimization loop most flip-flops keep their (position, target)
+	// pair from one iteration to the next, so their candidate arcs come from
+	// the cache instead of being re-solved.
+	f.tap = cfg.TapCache
+	if f.tap == nil {
+		f.tap = assign.NewTapCache()
+	}
+	return f
+}
+
+// step is one unit the runner drives: an optional stop-token check at its
+// boundary, then its body inside its own span.
+type step struct {
+	gate      string // when set, a fired stop token fails the run here ...
+	gateStage int    // ... charged to this stage
+	span      string // "" runs the body without a span of its own
+	attrs     []obs.Attr
+	body      func(sp *obs.Span) *StageError
+}
+
+// do runs steps in order under parent and returns the first failure. It is
+// the only place the flow opens and ends a stage span or checks the stop
+// token between stages.
+func (f *flow) do(parent *obs.Span, steps ...step) *StageError {
+	for _, st := range steps {
+		if st.gate != "" {
+			if err := f.cfg.Stop.Err(); err != nil {
+				return f.fail(st.gateStage, fmt.Errorf("%s: %w", st.gate, err))
+			}
+		}
+		var sp *obs.Span
+		if st.span != "" {
+			sp = parent.Child(st.span, st.attrs...)
+		}
+		se := st.body(sp)
+		sp.End()
+		if se != nil {
+			return se
+		}
+	}
+	return nil
+}
+
+// run drives the stages of Fig. 3: stages 1-3 up to the base case, then the
+// re-optimization loop. A circuit with no flip-flops leaves after stage 1
+// and the ring array — a placeable netlist and a legitimate clock resource
+// with nothing for stages 2-6 to optimize — with an empty assignment and
+// signal-only metrics.
+func (f *flow) run() (*Result, error) {
+	prefix := []step{
+		{body: f.system},
+		{span: "stage1.place", body: f.place},
+		{gate: "after placement", gateStage: 2, body: f.ringArray},
+	}
+	if f.n > 0 {
+		prefix = append(prefix,
+			step{span: "stage2.maxslack", body: f.maxSlack},
+			step{span: "stage3.assign", body: f.assignRings})
+	}
+	if se := f.do(f.root, prefix...); se != nil {
+		return f.exit(se)
+	}
+	if f.n == 0 {
+		f.res.event(2, 0, InvalidInput, "no flip-flops: skipping skew, assignment, and re-optimization stages", nil)
+		return f.exit(nil)
+	}
+	f.setBase()
+	for f.iter = 1; f.iter <= f.cfg.MaxIters && !f.converged; f.iter++ {
+		it := step{gate: "before iteration", gateStage: 6,
+			span: "flow.iter", attrs: []obs.Attr{obs.I("iter", f.iter)}, body: f.iterate}
+		if se := f.do(f.root, it); se != nil {
+			return f.exit(se)
+		}
+	}
+	return f.exit(nil)
+}
+
+// fail types a stage failure at the current iteration.
+func (f *flow) fail(stage int, err error) *StageError {
+	return stageErr(stage, f.iter, err)
+}
+
+// exit is the run's one way out, for clean ends and failures alike, and the
+// one place the failure policy is decided:
+//
+//   - Strict raises every failure as its *StageError;
+//   - before the base case exists, a stop degrades to the partial result
+//     reached so far, and any other failure raises — there is nothing to
+//     fall back to;
+//   - after it, every failure degrades to the best snapshot.
+//
+// Every result-returning path then flushes telemetry into Result.Metrics,
+// after ending the root span so every recorded duration is final.
+func (f *flow) exit(se *StageError) (*Result, error) {
+	res := f.res
+	if se != nil {
+		if f.cfg.Strict || !f.based && !stop.IsStop(se.Err) {
+			return nil, se
+		}
+		action := "stopping re-optimization; keeping best snapshot"
+		if !f.based {
+			action = "stopped before the base case; returning partial result"
+		}
+		res.event(se.Stage, se.Iter, se.Kind, action, se.Err)
+		res.Degraded = true
+	}
+	if f.based {
+		if se := f.restoreBest(); se != nil {
+			return nil, se
+		}
+	} else {
+		f.partial(se)
+	}
+	if f.reg != nil {
+		f.reg.Add("core.events", int64(len(res.Events)))
+		if res.Degraded {
+			f.reg.Add("core.degraded", 1)
+		}
+		f.root.End()
+		res.Metrics = f.reg.Snapshot()
+	}
+	return res, nil
+}
+
+// partial completes a result that ends before the base case exists. The
+// consistent prefix reached so far (a legalized placement, the ring array,
+// possibly a stage-2 schedule) is still a valid — if empty-handed — result.
+func (f *flow) partial(se *StageError) {
+	c, cfg, res := f.c, f.cfg, f.res
+	if se != nil && se.Stage == 1 && !cfg.SkipInitialPlace {
+		// The stopped solve wrote its best iterate onto the circuit;
+		// legalization turns it into a usable (overlap-free) placement.
+		if err := placer.Legalize(c); err != nil {
+			res.event(1, 0, Internal, "legalizing partial placement failed", err)
+		}
+	}
+	if res.Array == nil {
+		if a, err := rotary.SquareArray(c.Die, cfg.NumRings, cfg.RingFill, cfg.Params); err == nil {
+			res.Array = a
+		}
+	}
+	if res.Assign == nil {
+		numRings := 0
+		if res.Array != nil {
+			numRings = len(res.Array.Rings)
+		}
+		res.Assign = &assign.Assignment{Ring: []int{}, Taps: []rotary.Tap{}, Loads: make([]float64, numRings)}
+	}
+	if res.Schedule == nil {
+		res.Schedule = []float64{}
+	}
+	res.Base = measure(c, cfg, res.Assign, f.n)
+	res.Final = res.Base
+	res.PerIter = append(res.PerIter, res.Base)
+}
+
+// restoreBest writes the best iterate back, so the reported schedule
+// provably satisfies the timing constraints of the reported cell locations.
+func (f *flow) restoreBest() *StageError {
+	res, best := f.res, f.best
+	if err := f.c.SetPositions(best.pos); err != nil {
+		// The snapshot came from this circuit, so a mismatch here is a
+		// broken flow invariant, not recoverable state.
+		return &StageError{Stage: 5, Iter: res.Iterations, Kind: Internal, Err: fmt.Errorf("restoring best placement: %w", err)}
+	}
+	res.Assign, res.Schedule, res.Final, res.WorkSlack = best.asg, best.sched, best.m, best.mWork
+	return nil
+}
+
+// system sets up the quadratic placement system, assembled once and reused
+// by every placer call of the run — the initial global placement and all
+// stage-6 incremental re-placements — because the net connectivity it
+// encodes never changes across flow iterations; only the anchor overlay
+// (pseudo-nets, stability anchors) differs per solve. A template for another
+// circuit in cfg.System is the caller's mistake, hence InvalidInput.
+func (f *flow) system(*obs.Span) *StageError {
+	sys, err := newSystem(f.c, f.cfg, f.reg)
+	if err != nil && f.cfg.System != nil {
+		return &StageError{Stage: 1, Kind: InvalidInput, Err: err}
+	}
+	if err != nil {
+		return f.fail(1, err)
+	}
+	f.psys = sys
+	return nil
+}
+
+// newSystem forks the caller-supplied template cfg.System for c — the fork
+// shares the immutable connectivity and carries run-local mutable state —
+// and builds a fresh system when there is none.
+func newSystem(c *netlist.Circuit, cfg Config, reg *obs.Registry) (*placer.System, error) {
+	if cfg.System != nil {
+		sys, err := cfg.System.Fork(c, reg)
+		if err != nil {
+			return nil, fmt.Errorf("forking placement system: %w", err)
+		}
+		return sys, nil
+	}
+	sys, err := placer.NewSystem(c, reg)
+	if err != nil {
+		return nil, fmt.Errorf("placement system: %w", err)
+	}
+	return sys, nil
+}
+
+// solve runs one placement solve under the conjugate-gradients stagnation
+// ladder, the one recoverable placer failure: the positions written back
+// are a usable iterate, and one retry at a 100x looser tolerance almost
+// always converges; if it stagnates too, the best-effort iterate is kept
+// and legalization makes it usable. Strict mode skips the ladder.
+func (f *flow) solve(stage int, what string, run func(placer.Options) error, opt placer.Options) error {
+	err := run(opt)
+	if err != nil && errors.Is(err, placer.ErrNonConverged) && !f.cfg.Strict {
+		f.res.event(stage, f.iter, NonConverged, "retrying "+what+" placement at 100x looser CG tolerance", err)
+		opt.CGTol = 1e-4
+		err = run(opt)
+		if err != nil && errors.Is(err, placer.ErrNonConverged) {
+			f.res.event(stage, f.iter, NonConverged, "keeping best-effort placement from stagnated solve", err)
+			err = nil
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("%s placement: %w", what, err)
+	}
+	return nil
+}
+
+// place is stage 1: global placement, legalization and detailed placement.
+func (f *flow) place(sp *obs.Span) *StageError {
+	if f.cfg.SkipInitialPlace {
+		return nil
+	}
+	if f.cfg.Multilevel {
+		f.reg.Add("core.ml.runs", 1)
+		sp.Set(obs.S("multilevel", "on"))
+	}
+	opt := placer.Options{Parallelism: f.cfg.Parallelism, Obs: f.reg, Stop: f.cfg.Stop, Multilevel: f.cfg.Multilevel}
+	if err := f.solve(1, "global", f.psys.Global, opt); err != nil {
+		return f.fail(1, err)
+	}
+	if err := placer.Legalize(f.c); err != nil {
+		return f.fail(1, fmt.Errorf("legalization: %w", err))
+	}
+	// Detailed refinement only on the initial placement: inside the loop,
+	// swap-based refinement would pull flip-flops off the tapping points the
+	// pseudo-nets just placed them at.
+	if _, err := placer.Detailed(f.c, 2); err != nil {
+		return f.fail(1, fmt.Errorf("detailed placement: %w", err))
+	}
+	return nil
+}
+
+// ringArray lays the rotary ring array over the die.
+func (f *flow) ringArray(*obs.Span) *StageError {
+	arr, err := rotary.SquareArray(f.c.Die, f.cfg.NumRings, f.cfg.RingFill, f.cfg.Params)
+	if err != nil {
+		return &StageError{Stage: 3, Kind: InvalidInput, Err: fmt.Errorf("ring array: %w", err)}
+	}
+	f.res.Array = arr
+	return nil
+}
+
+// maxSlack is stage 2: max-slack skew optimization. No recovery ladder
+// exists here: with nothing assigned yet there is no weaker schedule to
+// fall back to, so an unsatisfiable constraint system is a typed failure.
+func (f *flow) maxSlack(sp *obs.Span) *StageError {
+	pairs, err := seqPairs(f.c, f.cfg.TModel, f.ffIdx)
+	if err != nil {
+		return f.fail(2, err)
+	}
+	m, sched, err := skew.MaxSlackExactStop(f.cfg.Stop, f.n, pairs, f.cfg.Params.Period, f.cfg.TModel.TSetup, f.cfg.TModel.THold)
+	if err != nil {
+		return f.fail(2, fmt.Errorf("max-slack skew optimization: %w", err))
+	}
+	f.res.MaxSlack, f.res.Schedule, f.sched = m, sched, sched
+	sp.Set(obs.I("pairs", len(pairs)), obs.F("max_slack_ps", m))
+	return nil
+}
+
+// assignRings is stage 3, before the loop (the base case) and in each inner
+// round of it: assignment to the current schedule under the
+// infeasibility-recovery ladder.
+func (f *flow) assignRings(*obs.Span) *StageError {
+	asg, err := f.assignRecover()
+	if err != nil {
+		return f.fail(3, fmt.Errorf("assignment: %w", err))
+	}
+	f.asg = asg
+	return nil
+}
+
+// setBase records the base case (Table III) after the first assignment and
+// seeds the loop's best snapshot and stage-5 cost with it.
+func (f *flow) setBase() {
+	res := f.res
+	res.Assign = f.asg
+	res.Base = measure(f.c, f.cfg, f.asg, f.n)
+	res.Final = res.Base
+	res.PerIter = append(res.PerIter, res.Base)
+	res.WorkSlack = workSlack(f.cfg.SlackFrac, res.MaxSlack)
+	f.best = snapshot{pos: f.c.Positions(), sched: f.sched, asg: f.asg, m: res.Base, mWork: res.WorkSlack}
+	f.prevCost = f.cost(res.Base)
+	f.bestCost = f.prevCost
+	// Timing-driven mode: one criticality scale per net, persistent across
+	// iterations so the exponential-decay history damps oscillation. Nil
+	// when the mode is off — the placer then takes its untouched base path.
+	if f.cfg.TimingDriven {
+		f.netScale = make([]float64, len(f.c.Nets))
+		for i := range f.netScale {
+			f.netScale[i] = 1
+		}
+	}
+	f.based = true
+}
+
+// cost is the stage-5 objective. The network-flow formulation optimizes
+// wirelength (weighted sum of tapping and signal WL); the ILP formulation
+// optimizes frequency, so its iterations are judged by the
+// wirelength-capacitance product instead (Table VII's metric).
+func (f *flow) cost(m Metrics) float64 {
+	if f.cfg.Assigner == ILP {
+		return m.WCP
+	}
+	return f.cfg.TapWeight*m.TapWL + m.SignalWL
+}
+
+// iterate is one pass of the re-optimization loop (stages 6, 4, 3, 5): move
+// the flip-flops toward their current tapping points, then re-derive a
+// consistent (timing, schedule, assignment) triple for the new placement and
+// measure it.
+func (f *flow) iterate(it *obs.Span) *StageError {
+	f.reg.Add("core.iterations", 1)
+	var steps []step
+	if f.cfg.TimingDriven {
+		steps = append(steps, step{span: "stage6.reweight", body: f.reweight})
+	}
+	steps = append(steps,
+		step{span: "stage6.place", body: f.replace},
+		step{span: "stage4.slack-refresh", body: f.refreshSlack})
+	// Inner fixed point of stages 4 and 3: the schedule chases the nearest
+	// ring phases and the assignment chases the schedule; two rounds settle
+	// the pair for the current placement.
+	for round := 0; round < 2; round++ {
+		r := []obs.Attr{obs.I("round", round)}
+		steps = append(steps,
+			step{span: "stage4.skew", attrs: r, body: f.costSkew},
+			step{span: "stage3.assign", attrs: r, body: f.assignRings})
+	}
+	return f.do(it, append(steps, step{span: "stage5.evaluate", body: f.evaluate})...)
+}
+
+// replace is stage 6: pseudo-net incremental placement toward the current
+// assignment's tapping points, with a pull that ramps by iteration.
+func (f *flow) replace(*obs.Span) *StageError {
+	pn := make([]placer.PseudoNet, 0, f.n)
+	for i, id := range f.res.FFCells {
+		pn = append(pn, placer.PseudoNet{
+			Cell:   id,
+			Target: f.asg.Taps[i].Point,
+			Weight: f.cfg.PseudoWeight * float64(f.iter),
+		})
+	}
+	opt := placer.Options{PseudoNets: pn, NetWeights: f.netScale, Parallelism: f.cfg.Parallelism, Obs: f.reg, Stop: f.cfg.Stop}
+	if err := f.solve(6, "incremental", f.psys.Incremental, opt); err != nil {
+		return f.fail(6, err)
+	}
+	if err := placer.Legalize(f.c); err != nil {
+		return f.fail(6, fmt.Errorf("legalization: %w", err))
+	}
+	// Recover signal wirelength disturbed by the pull + legalization,
+	// holding the flip-flops where the pseudo-nets put them.
+	if _, err := placer.DetailedExcluding(f.c, 1, f.res.FFCells); err != nil {
+		return f.fail(6, fmt.Errorf("detailed placement: %w", err))
+	}
+	return nil
+}
+
+// refreshSlack re-derives the timing pairs and the working slack for the new
+// placement. A failed refresh that is neither a stop nor strict keeps the
+// previous margin, with a warning event rather than silently pretending the
+// refresh happened.
+func (f *flow) refreshSlack(*obs.Span) *StageError {
+	pairs, err := seqPairs(f.c, f.cfg.TModel, f.ffIdx)
+	if err != nil {
+		return f.fail(4, err)
+	}
+	f.pairs, f.mWork, f.msSched = pairs, f.res.WorkSlack, nil
+	m, sched, err := skew.MaxSlackExactStop(f.cfg.Stop, f.n, pairs, f.cfg.Params.Period, f.cfg.TModel.TSetup, f.cfg.TModel.THold)
+	switch {
+	case err == nil:
+		f.mWork, f.msSched = workSlack(f.cfg.SlackFrac, m), sched
+	case stop.IsStop(err) || f.cfg.Strict:
+		// A fired token is not a property of this placement; the loop stops
+		// on the snapshot rather than optimizing against stale margins.
+		return f.fail(2, fmt.Errorf("in-loop slack refresh: %w", err))
+	default:
+		f.res.event(2, f.iter, Classify(err), "in-loop slack refresh failed; reusing previous working slack", err)
+	}
+	return nil
+}
+
+// costSkew is stage 4: the cost-driven schedule for the current assignment.
+func (f *flow) costSkew(*obs.Span) *StageError {
+	sched, mWork, err := f.costDrivenRecover()
+	if err != nil {
+		return f.fail(4, fmt.Errorf("cost-driven skew: %w", err))
+	}
+	f.sched, f.mWork = sched, mWork
+	return nil
+}
+
+// evaluate is stage 5: measure the iterate, keep it if it is the best so
+// far, and test convergence on the overall cost, the paper's weighted sum of
+// total tapping cost and traditional placement cost. One stalled iteration
+// is tolerated (the pseudo-net ramp often recovers it); two in a row end the
+// loop.
+func (f *flow) evaluate(sp *obs.Span) *StageError {
+	m := measure(f.c, f.cfg, f.asg, f.n)
+	f.res.PerIter = append(f.res.PerIter, m)
+	f.res.Iterations = f.iter
+	cost := f.cost(m)
+	if cost < f.bestCost {
+		f.bestCost = cost
+		f.best = snapshot{pos: f.c.Positions(), sched: f.sched, asg: f.asg, m: m, mWork: f.mWork}
+	}
+	if f.prevCost-cost < f.cfg.ConvergeTol*f.prevCost {
+		f.stall++
+		f.converged = f.stall >= 2
+	} else {
+		f.stall = 0
+	}
+	f.prevCost = cost
+	sp.Set(obs.F("cost", cost))
+	return nil
 }
 
 // seqPairs runs STA and maps cell IDs to flip-flop indices.
@@ -804,23 +803,23 @@ func seqPairs(c *netlist.Circuit, m timing.Model, ffIdx map[int]int) ([]skew.Seq
 // runAssign builds and solves one stage-3 assignment instance with explicit
 // relaxation knobs (k candidate rings, per-ring capacity, tapping fallback).
 // A nil capacity uses assign's default.
-func runAssign(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []int, sched []float64, cache *assign.TapCache, k int, capacity []int, fallback bool, reg *obs.Registry) (*assign.Assignment, error) {
-	ffs := make([]assign.FF, len(ffCells))
-	for i, id := range ffCells {
-		ffs[i] = assign.FF{Cell: id, Pos: c.Cells[id].Pos, Target: sched[i]}
+func (f *flow) runAssign(k int, capacity []int, fallback bool) (*assign.Assignment, error) {
+	ffs := make([]assign.FF, f.n)
+	for i, id := range f.res.FFCells {
+		ffs[i] = assign.FF{Cell: id, Pos: f.c.Cells[id].Pos, Target: f.sched[i]}
 	}
 	p := &assign.Problem{
-		Array:       arr,
+		Array:       f.res.Array,
 		FFs:         ffs,
 		K:           k,
 		Capacity:    capacity,
-		Parallelism: cfg.Parallelism,
-		Cache:       cache,
+		Parallelism: f.cfg.Parallelism,
+		Cache:       f.tap,
 		TapFallback: fallback,
-		Obs:         reg,
-		Stop:        cfg.Stop,
+		Obs:         f.reg,
+		Stop:        f.cfg.Stop,
 	}
-	if cfg.Assigner == ILP {
+	if f.cfg.Assigner == ILP {
 		a, _, err := assign.MinMaxCap(p)
 		return a, err
 	}
@@ -832,14 +831,14 @@ func runAssign(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []int,
 // relaxed ring capacities, and as a last resort the nearest-point tapping
 // fallback (recorded, since fallback taps do not realize the skew targets).
 // Strict mode and non-infeasibility errors skip the ladder entirely.
-func assignRecover(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []int, sched []float64, cache *assign.TapCache, res *Result, iter int, reg *obs.Registry) (*assign.Assignment, error) {
-	numRings := len(arr.Rings)
-	k2 := cfg.K * 2
+func (f *flow) assignRecover() (*assign.Assignment, error) {
+	numRings := len(f.res.Array.Rings)
+	k2 := f.cfg.K * 2
 	if k2 > numRings {
 		k2 = numRings
 	}
 	// Base uniform capacity, matching assign's default headroom of 1.25x.
-	baseCap := float64((len(ffCells)*5/4)/numRings + 1)
+	baseCap := float64((f.n*5/4)/numRings + 1)
 	uniform := func(scale float64) []int {
 		cap := make([]int, numRings)
 		for j := range cap {
@@ -853,7 +852,7 @@ func assignRecover(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []
 		fallback bool
 		action   string
 	}{
-		{k: cfg.K},
+		{k: f.cfg.K},
 		{k: k2, capacity: uniform(1.5),
 			action: fmt.Sprintf("relaxing assignment: K widened to %d, ring capacity x1.5", k2)},
 		{k: numRings, capacity: uniform(2.25),
@@ -864,19 +863,19 @@ func assignRecover(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []
 	var err error
 	for si, st := range steps {
 		if si > 0 {
-			res.event(3, iter, Infeasible, st.action, err)
-			reg.Add("core.recover.assign", 1)
+			f.res.event(3, f.iter, Infeasible, st.action, err)
+			f.reg.Add("core.recover.assign", 1)
 		}
 		var a *assign.Assignment
-		a, err = runAssign(c, cfg, arr, ffCells, sched, cache, st.k, st.capacity, st.fallback, reg)
+		a, err = f.runAssign(st.k, st.capacity, st.fallback)
 		if err == nil {
 			if len(a.Fallbacks) > 0 {
-				res.event(3, iter, Infeasible,
+				f.res.event(3, f.iter, Infeasible,
 					fmt.Sprintf("%d flip-flop(s) tapped via nearest-point fallback", len(a.Fallbacks)), nil)
 			}
 			return a, nil
 		}
-		if cfg.Strict || !errors.Is(err, assign.ErrInfeasible) {
+		if f.cfg.Strict || !errors.Is(err, assign.ErrInfeasible) {
 			return nil, err
 		}
 	}
@@ -888,66 +887,64 @@ func assignRecover(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []
 // infeasible it falls back to the fresh max-slack schedule (feasible by
 // construction). It returns the schedule and the margin it is feasible at.
 // Strict mode and non-infeasibility errors skip the ladder entirely.
-func costDrivenRecover(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []int, asg *assign.Assignment, sched []float64, pairs []skew.SeqPair, mWork float64, msSched []float64, res *Result, iter int, reg *obs.Registry) ([]float64, float64, error) {
-	T := cfg.Params.Period
-	ladder := []float64{mWork}
-	if mWork > 0 {
-		ladder = append(ladder, mWork/2, 0)
+func (f *flow) costDrivenRecover() ([]float64, float64, error) {
+	T := f.cfg.Params.Period
+	ladder := []float64{f.mWork}
+	if f.mWork > 0 {
+		ladder = append(ladder, f.mWork/2, 0)
 	}
 	var err error
 	for li, m := range ladder {
-		cons := skew.Constraints(pairs, T, m, cfg.TModel.TSetup, cfg.TModel.THold)
+		cons := skew.Constraints(f.pairs, T, m, f.cfg.TModel.TSetup, f.cfg.TModel.THold)
 		var t []float64
-		t, err = costDriven(c, cfg, arr, ffCells, asg, sched, cons)
+		t, err = f.costDriven(cons)
 		if err == nil {
 			return t, m, nil
 		}
-		if cfg.Strict || !errors.Is(err, skew.ErrInfeasible) {
-			return nil, mWork, err
+		if f.cfg.Strict || !errors.Is(err, skew.ErrInfeasible) {
+			return nil, f.mWork, err
 		}
 		if li+1 < len(ladder) {
-			res.event(4, iter, Infeasible,
+			f.res.event(4, f.iter, Infeasible,
 				fmt.Sprintf("relaxing working slack to %.4g ps", ladder[li+1]), err)
-			reg.Add("core.recover.skew", 1)
+			f.reg.Add("core.recover.skew", 1)
 		}
 	}
-	if msSched != nil {
-		res.event(4, iter, Infeasible, "falling back to the max-slack schedule", err)
-		reg.Add("core.recover.skew", 1)
-		return msSched, mWork, nil
+	if f.msSched != nil {
+		f.res.event(4, f.iter, Infeasible, "falling back to the max-slack schedule", err)
+		f.reg.Add("core.recover.skew", 1)
+		return f.msSched, f.mWork, nil
 	}
-	return nil, mWork, err
+	return nil, f.mWork, err
 }
 
 // costDriven runs the stage-4 skew optimization: anchors are the phases at
 // the nearest points of each flip-flop's assigned ring, period-shifted next
 // to the current schedule so the |t - target| costs are meaningful.
-func costDriven(c *netlist.Circuit, cfg Config, arr *rotary.Array, ffCells []int, asg *assign.Assignment, sched []float64, cons []skew.DiffConstraint) ([]float64, error) {
-	n := len(ffCells)
-	T := cfg.Params.Period
-	anchors := make([]skew.Anchor, n)
-	targets := make([]float64, n)
-	weights := make([]float64, n)
-	for i, id := range ffCells {
-		ring := arr.Rings[asg.Ring[i]]
-		pos := c.Cells[id].Pos
-		s, _, dist := ring.Nearest(pos)
+func (f *flow) costDriven(cons []skew.DiffConstraint) ([]float64, error) {
+	T := f.cfg.Params.Period
+	anchors := make([]skew.Anchor, f.n)
+	targets := make([]float64, f.n)
+	weights := make([]float64, f.n)
+	for i, id := range f.res.FFCells {
+		ring := f.res.Array.Rings[f.asg.Ring[i]]
+		s, _, dist := ring.Nearest(f.c.Cells[id].Pos)
 		a := ring.DelayAt(s, T)
 		// Shift the anchor by whole periods to sit nearest the current
 		// schedule (clock phase is periodic; the absolute differences in
 		// the cost-driven formulations are not).
-		k := math.Round((sched[i] - a) / T)
+		k := math.Round((f.sched[i] - a) / T)
 		a += k * T
-		tci := cfg.Params.StubDelay(dist)
+		tci := f.cfg.Params.StubDelay(dist)
 		anchors[i] = skew.Anchor{A: a, TCI: tci}
 		targets[i] = a + tci
 		weights[i] = math.Max(1, dist)
 	}
-	if cfg.Objective == WeightedSum {
-		_, t, err := skew.WeightedSumStop(cfg.Stop, n, cons, targets, weights)
+	if f.cfg.Objective == WeightedSum {
+		_, t, err := skew.WeightedSumStop(f.cfg.Stop, f.n, cons, targets, weights)
 		return t, err
 	}
-	_, t, err := skew.MinDeltaStop(cfg.Stop, n, cons, anchors, 0)
+	_, t, err := skew.MinDeltaStop(f.cfg.Stop, f.n, cons, anchors, 0)
 	return t, err
 }
 

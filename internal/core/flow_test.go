@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/placer"
 	"rotaryclk/internal/rotary"
 	"rotaryclk/internal/skew"
 	"rotaryclk/internal/timing"
@@ -142,6 +144,40 @@ func TestRunErrors(t *testing.T) {
 	c := netlist.New("noff")
 	if _, err := Run(c, Config{}); err == nil {
 		t.Error("expected error for empty circuit")
+	}
+}
+
+// TestZeroFFRunForksTemplate: a circuit with no flip-flops sets up its
+// placement system like every other run, so a template built for a different
+// circuit is rejected as a stage-1 InvalidInput instead of being silently
+// replaced by a fresh system, and a matching template is forked and used.
+func TestZeroFFRunForksTemplate(t *testing.T) {
+	foreign, err := placer.NewSystem(genCircuit(t, 227, 30, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{NumRings: 4, System: foreign}
+	_, err = Run(genCircuit(t, 40, 0, 1), cfg)
+	var se *StageError
+	if !errors.As(err, &se) || se.Stage != 1 || se.Kind != InvalidInput {
+		t.Fatalf("mismatched template on a zero-FF circuit: err = %v, want stage-1 invalid-input", err)
+	}
+
+	own, err := placer.NewSystem(genCircuit(t, 40, 0, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.System = own
+	c := genCircuit(t, 40, 0, 1)
+	res, err := Run(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded || len(res.Assign.Taps) != 0 || eventMatching(res.Events, "no flip-flops") == nil {
+		t.Errorf("zero-FF run: degraded=%v taps=%d events=%v", res.Degraded, len(res.Assign.Taps), res.Events)
+	}
+	if err := Audit(c, cfg, res); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -50,8 +50,8 @@ func TestClassify(t *testing.T) {
 		{errors.New("anything else"), Internal},
 	}
 	for _, c := range cases {
-		if got := classify(c.err); got != c.want {
-			t.Errorf("classify(%v) = %v, want %v", c.err, got, c.want)
+		if got := Classify(c.err); got != c.want {
+			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
 		}
 	}
 }

@@ -12,22 +12,25 @@ import (
 	"rotaryclk/internal/timing"
 )
 
-// timingReweight updates the per-net criticality scales for one loop
-// iteration: decay every scale toward 1 (exponential history), extract the
-// cfg.TimingPaths lowest-slack pairs under the current schedule, and boost
-// the nets on their D_max paths by TimingBoost tapered linearly with rank,
-// capped at TimingMaxW. A failed extraction (combinational cycle — possible
-// only if the circuit changed under us) is recorded as a stage-6 event and
-// leaves the scales at their previous values.
-func timingReweight(c *netlist.Circuit, cfg *Config, res *Result, ffIdx map[int]int, sched, scale []float64, iter int, reg *obs.Registry) {
+// reweight updates the per-net criticality scales for one loop iteration,
+// ranking the lowest-slack sequential pairs under the current schedule so
+// the stage-6 re-place pulls their nets shorter: decay every scale toward 1
+// (exponential history), extract the cfg.TimingPaths lowest-slack pairs, and
+// boost the nets on their D_max paths by TimingBoost tapered linearly with
+// rank, capped at TimingMaxW. A failed extraction (combinational cycle —
+// possible only if the circuit changed under us) is recorded as a stage-6
+// event and leaves the scales at their previous values; it never fails the
+// run.
+func (f *flow) reweight(*obs.Span) *StageError {
+	cfg, scale, reg := &f.cfg, f.netScale, f.reg
 	slackOf := func(p timing.Pair) float64 {
-		x := sched[ffIdx[p.From]] - sched[ffIdx[p.To]]
+		x := f.sched[f.ffIdx[p.From]] - f.sched[f.ffIdx[p.To]]
 		return cfg.TModel.SlackUnder(p, x, cfg.Params.Period)
 	}
-	paths, err := timing.ExtractCritical(c, cfg.TModel, slackOf, cfg.TimingPaths)
+	paths, err := timing.ExtractCritical(f.c, cfg.TModel, slackOf, cfg.TimingPaths)
 	if err != nil {
-		res.event(6, iter, classify(err), "critical-path extraction failed; keeping previous net weights", err)
-		return
+		f.res.event(6, f.iter, Classify(err), "critical-path extraction failed; keeping previous net weights", err)
+		return nil
 	}
 	for i := range scale {
 		scale[i] = 1 + cfg.TimingDecay*(scale[i]-1)
@@ -55,6 +58,7 @@ func timingReweight(c *netlist.Circuit, cfg *Config, res *Result, ffIdx map[int]
 	if k > 0 {
 		reg.Gauge("core.timing.worst_slack_ps", paths[0].Slack)
 	}
+	return nil
 }
 
 // WorstSlack re-analyzes the circuit's timing at its current placement and

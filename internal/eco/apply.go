@@ -216,7 +216,7 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	margin, schedOK, allFFsDirty := 0.0, false, false
 	for li, m := range ladder {
 		cons := skew.Constraints(pairs, T, m, st.TModel.TSetup, st.TModel.THold)
-		t, rounds, feasible, werr := skew.WarmStartStop(tok, n, cons, seed)
+		t, rounds, feasible, werr := skew.WarmStart(tok, n, cons, seed)
 		if werr != nil {
 			schedSp.End()
 			return fail("schedule re-check", werr)

@@ -45,11 +45,6 @@ type Options struct {
 	// Strict makes every flow run fail on the first stage error instead of
 	// running the recovery policies (core.Config.Strict).
 	Strict bool
-	// Metrics arms a fresh obs.Registry per flow run, so each CircuitRun's
-	// Flow.Metrics / ILPFlow.Metrics carries that run's counters and span
-	// tree (the TelemetryTable input). Off by default: disarmed runs cost
-	// one atomic load per solver entry and carry no metrics.
-	Metrics bool
 	// ILPNodes replaces the wall-clock ILPBudget of Table I with a
 	// branch-and-bound node budget when positive. Node budgets make the ILP
 	// columns deterministic (wall-clock budgets are not), which is what the
@@ -136,12 +131,11 @@ func runCircuit(b bench.Circuit, opt Options) (*CircuitRun, error) {
 	cfg.Multilevel = opt.Multilevel
 	cfgILP := cfg
 	cfgILP.Assigner = core.ILP
-	if opt.Metrics {
-		// One registry per flow: the two runs race on wall-clock but not on
-		// each other's counters, and each Result.Metrics is self-contained.
-		cfg.Obs = obs.NewRegistry()
-		cfgILP.Obs = obs.NewRegistry()
-	}
+	// One registry per flow: the two runs race on wall-clock but not on each
+	// other's counters, and each Result.Metrics is self-contained — the span
+	// tree the CPU columns of Tables III/IV and the telemetry table read.
+	cfg.Obs = obs.NewRegistry()
+	cfgILP.Obs = obs.NewRegistry()
 
 	var flowErr, ilpErr error
 	par.Do(par.Workers(parallelism),
@@ -319,7 +313,11 @@ func TableI(opt Options) ([]RowI, error) {
 // assignProblem builds the stage-3 assignment instance from a fresh initial
 // placement and max-slack schedule (the state in which Table I is measured).
 func assignProblem(c *netlist.Circuit, b bench.Circuit, parallelism int) (*assign.Problem, error) {
-	if err := placer.Global(c, placer.Options{Parallelism: parallelism}); err != nil {
+	sys, err := placer.NewSystem(c, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Global(placer.Options{Parallelism: parallelism}); err != nil {
 		return nil, err
 	}
 	if err := placer.Legalize(c); err != nil {
@@ -377,7 +375,7 @@ type RowIII struct {
 	ClockPower  float64
 	SignalPower float64
 	TotalPower  float64
-	CPU         float64
+	CPU         float64 // placement + optimization span seconds (core.CPUSeconds)
 }
 
 // TableIII reports the base-case metrics of the network-flow run.
@@ -385,12 +383,13 @@ func TableIII(runs []*CircuitRun) []RowIII {
 	var rows []RowIII
 	for _, cr := range runs {
 		m := cr.Flow.Base
+		place, opt := core.CPUSeconds(cr.Flow.Metrics)
 		rows = append(rows, RowIII{
 			Name: cr.Bench.Name, AFD: m.AFD, TapWL: m.TapWL,
 			SignalWL: m.SignalWL, TotalWL: m.TotalWL,
 			ClockPower: m.ClockPower, SignalPower: m.SignalPower,
 			TotalPower: m.TotalPower,
-			CPU:        cr.Flow.PlaceSeconds + cr.Flow.OptSeconds,
+			CPU:        place + opt,
 		})
 	}
 	return rows
@@ -407,8 +406,8 @@ type RowIV struct {
 	SignalImp float64 // negative = signal WL grew (paper reports this)
 	TotalWL   float64
 	TotalImp  float64
-	OptCPU    float64 // stages 2-5
-	PlaceCPU  float64 // placer (the paper's "mPL" column)
+	OptCPU    float64 // stage 2-4 span seconds (core.CPUSeconds)
+	PlaceCPU  float64 // stage 1 and 6 span seconds: the paper's "mPL" column
 	Iters     int
 }
 
@@ -417,6 +416,7 @@ func TableIV(runs []*CircuitRun) []RowIV {
 	var rows []RowIV
 	for _, cr := range runs {
 		b, f := cr.Flow.Base, cr.Flow.Final
+		place, opt := core.CPUSeconds(cr.Flow.Metrics)
 		rows = append(rows, RowIV{
 			Name:      cr.Bench.Name,
 			AFD:       f.AFD,
@@ -426,8 +426,8 @@ func TableIV(runs []*CircuitRun) []RowIV {
 			SignalImp: imp(b.SignalWL, f.SignalWL),
 			TotalWL:   f.TotalWL,
 			TotalImp:  imp(b.TotalWL, f.TotalWL),
-			OptCPU:    cr.Flow.OptSeconds,
-			PlaceCPU:  cr.Flow.PlaceSeconds,
+			OptCPU:    opt,
+			PlaceCPU:  place,
 			Iters:     cr.Flow.Iterations,
 		})
 	}

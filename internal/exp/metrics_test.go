@@ -13,9 +13,7 @@ import (
 // three-way split is the metric-class contract of internal/obs.
 func TestMetricsCountersDeterministicAcrossWorkerCounts(t *testing.T) {
 	runMetrics := func(workers int) []*CircuitRun {
-		opt := detOpt(workers)
-		opt.Metrics = true
-		runs, err := RunAll(opt)
+		runs, err := RunAll(detOpt(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,12 +18,13 @@ func detOpt(workers int) Options {
 	}
 }
 
-// stripCPU zeroes the wall-clock fields, the only values allowed to differ
-// between worker counts.
+// stripCPU drops the metrics snapshots: their span durations are the only
+// wall-clock values in a CircuitRun, the only values allowed to differ
+// between worker counts (their counters are compared by
+// TestMetricsCountersDeterministicAcrossWorkerCounts).
 func stripCPU(runs []*CircuitRun) {
 	for _, cr := range runs {
-		cr.Flow.PlaceSeconds, cr.Flow.OptSeconds = 0, 0
-		cr.ILPFlow.PlaceSeconds, cr.ILPFlow.OptSeconds = 0, 0
+		cr.Flow.Metrics, cr.ILPFlow.Metrics = nil, nil
 	}
 }
 

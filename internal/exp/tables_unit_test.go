@@ -7,6 +7,7 @@ import (
 	"rotaryclk/internal/bench"
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/obs"
 )
 
 // fakeRun builds a CircuitRun with hand-set metrics so the table arithmetic
@@ -18,7 +19,18 @@ func fakeRun(name string, base, final, ilpFinal core.Metrics) *CircuitRun {
 		TreePL: 1234,
 		Flow: &core.Result{
 			Base: base, Final: final, Iterations: 3,
-			PlaceSeconds: 1.5, OptSeconds: 0.5,
+			// Stage spans summing to 1.5 s of placement and 0.5 s of
+			// optimization; stage5.evaluate belongs to neither column.
+			Metrics: &obs.Snapshot{Spans: []*obs.SpanData{{Name: "core.Run", Ms: 2100, Children: []*obs.SpanData{
+				{Name: "stage1.place", Ms: 1000},
+				{Name: "stage2.maxslack", Ms: 250},
+				{Name: "stage3.assign", Ms: 125},
+				{Name: "flow.iter", Ms: 725, Children: []*obs.SpanData{
+					{Name: "stage6.place", Ms: 500},
+					{Name: "stage4.skew", Ms: 125},
+					{Name: "stage5.evaluate", Ms: 100},
+				}},
+			}}}},
 		},
 		ILPFlow: &core.Result{Base: base, Final: ilpFinal},
 	}

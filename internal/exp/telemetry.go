@@ -3,7 +3,7 @@ package exp
 import "rotaryclk/internal/obs"
 
 // RowT is one row of the per-circuit telemetry table: solver effort counters
-// read from the flows' metrics snapshots (Options.Metrics must be on). The
+// read from the flows' metrics snapshots (every suite run carries one). The
 // counter columns are deterministic across worker counts; the cache hit rate
 // is a scheduling-dependent stat and the seconds are wall-clock — neither is
 // compared by the determinism harness.
@@ -21,8 +21,8 @@ type RowT struct {
 }
 
 // TelemetryTable derives solver-effort rows from each circuit's metrics
-// snapshots. Circuits whose runs carried no metrics (Options.Metrics off)
-// are skipped; a fully disarmed run yields no rows.
+// snapshots. Circuits whose runs carried no metrics (a CircuitRun built
+// outside RunAll) are skipped.
 func TelemetryTable(runs []*CircuitRun) []RowT {
 	var rows []RowT
 	for _, cr := range runs {

@@ -47,18 +47,26 @@ func CheckMultilevel(spec netlist.GenSpec, seed int64) []Violation {
 		return c, nil
 	}
 
+	place := func(c *netlist.Circuit, opt placer.Options) error {
+		sys, err := placer.NewSystem(c, nil)
+		if err != nil {
+			return err
+		}
+		return sys.Global(opt)
+	}
+
 	flat, vs := gen()
 	if vs != nil {
 		return vs
 	}
-	flatErr := placer.Global(flat, placer.Options{Parallelism: 1})
+	flatErr := place(flat, placer.Options{Parallelism: 1})
 
 	ml, vs := gen()
 	if vs != nil {
 		return vs
 	}
 	mlOpt := placer.Options{Multilevel: true, MLCoarsest: mlCoarsestFor(ml), Parallelism: 1}
-	mlErr := placer.Global(ml, mlOpt)
+	mlErr := place(ml, mlOpt)
 	if (flatErr == nil) != (mlErr == nil) {
 		return violationf(name, seed, "feasibility depends on the V-cycle: flat err=%v, multilevel err=%v", flatErr, mlErr)
 	}
@@ -75,7 +83,7 @@ func CheckMultilevel(spec netlist.GenSpec, seed int64) []Violation {
 	}
 	mlOpt8 := mlOpt
 	mlOpt8.Parallelism = 8
-	if err := placer.Global(ml8, mlOpt8); err != nil {
+	if err := place(ml8, mlOpt8); err != nil {
 		return violationf(name, seed, "multilevel placement failed at 8 workers but not 1: %v", err)
 	}
 	for i := range ml.Cells {

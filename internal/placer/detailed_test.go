@@ -10,7 +10,7 @@ import (
 
 func TestDetailedImprovesWL(t *testing.T) {
 	c := genCircuit(t, 500, 60, 31)
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Legalize(c); err != nil {
@@ -39,7 +39,7 @@ func TestDetailedImprovesWL(t *testing.T) {
 
 func TestDetailedIdempotentAtFixpoint(t *testing.T) {
 	c := genCircuit(t, 300, 40, 32)
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Legalize(c); err != nil {
@@ -100,7 +100,7 @@ func TestDetailedEmptyAndErrors(t *testing.T) {
 
 func TestDetailedExcludingPinsCells(t *testing.T) {
 	c := genCircuit(t, 400, 50, 33)
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Legalize(c); err != nil {

@@ -22,14 +22,14 @@ func detCircuit(t testing.TB, cells, ffs int, seed int64) *netlist.Circuit {
 // order never depend on it.
 func TestGlobalDeterministicAcrossWorkerCounts(t *testing.T) {
 	ref := detCircuit(t, 600, 80, 17)
-	if err := Global(ref, Options{Parallelism: 1}); err != nil {
+	if err := global(ref, Options{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Positions()
 
 	for _, workers := range []int{2, 8} {
 		c := detCircuit(t, 600, 80, 17)
-		if err := Global(c, Options{Parallelism: workers}); err != nil {
+		if err := global(c, Options{Parallelism: workers}); err != nil {
 			t.Fatal(err)
 		}
 		got := c.Positions()
@@ -46,7 +46,7 @@ func TestGlobalDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestIncrementalDeterministicAcrossWorkerCounts(t *testing.T) {
 	build := func(workers int) []geom.Point {
 		c := detCircuit(t, 400, 60, 23)
-		if err := Global(c, Options{Parallelism: workers}); err != nil {
+		if err := global(c, Options{Parallelism: workers}); err != nil {
 			t.Fatal(err)
 		}
 		ffs := c.FlipFlops()
@@ -54,7 +54,7 @@ func TestIncrementalDeterministicAcrossWorkerCounts(t *testing.T) {
 		for i, id := range ffs {
 			pn[i] = PseudoNet{Cell: id, Target: c.Die.Center(), Weight: 4}
 		}
-		if err := Incremental(c, Options{PseudoNets: pn, Parallelism: workers}); err != nil {
+		if err := incremental(c, Options{PseudoNets: pn, Parallelism: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return c.Positions()
@@ -129,7 +129,7 @@ func BenchmarkGlobalPlace(b *testing.B) {
 				b.StopTimer()
 				c := detCircuit(b, 2000, 200, 11)
 				b.StartTimer()
-				if err := Global(c, Options{Parallelism: cfg.workers}); err != nil {
+				if err := global(c, Options{Parallelism: cfg.workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

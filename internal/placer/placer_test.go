@@ -17,10 +17,28 @@ func genCircuit(t *testing.T, cells, ffs int, seed int64) *netlist.Circuit {
 	return c
 }
 
+// global and incremental build a fresh System for a one-shot solve, the
+// shape most tests here need.
+func global(c *netlist.Circuit, opt Options) error {
+	sys, err := NewSystem(c, opt.Obs)
+	if err != nil {
+		return err
+	}
+	return sys.Global(opt)
+}
+
+func incremental(c *netlist.Circuit, opt Options) error {
+	sys, err := NewSystem(c, opt.Obs)
+	if err != nil {
+		return err
+	}
+	return sys.Incremental(opt)
+}
+
 func TestGlobalReducesWirelength(t *testing.T) {
 	c := genCircuit(t, 600, 80, 1)
 	before := c.SignalWL()
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	after := c.SignalWL()
@@ -37,7 +55,7 @@ func TestGlobalReducesWirelength(t *testing.T) {
 
 func TestGlobalSpreadsCells(t *testing.T) {
 	c := genCircuit(t, 600, 80, 2)
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Without spreading the QP solution collapses to a blob: the worst-bin
@@ -51,10 +69,10 @@ func TestGlobalSpreadsCells(t *testing.T) {
 func TestGlobalDeterministic(t *testing.T) {
 	c1 := genCircuit(t, 300, 40, 3)
 	c2 := genCircuit(t, 300, 40, 3)
-	if err := Global(c1, Options{}); err != nil {
+	if err := global(c1, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Global(c2, Options{}); err != nil {
+	if err := global(c2, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range c1.Cells {
@@ -67,7 +85,7 @@ func TestGlobalDeterministic(t *testing.T) {
 func TestGlobalEmptyDie(t *testing.T) {
 	c := netlist.New("empty")
 	c.AddCell(&netlist.Cell{Name: "a"})
-	if err := Global(c, Options{}); err == nil {
+	if err := global(c, Options{}); err == nil {
 		t.Fatal("expected error for empty die")
 	}
 }
@@ -76,20 +94,20 @@ func TestGlobalNoMovableCells(t *testing.T) {
 	c := netlist.New("fixedonly")
 	c.Die = geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10))
 	c.AddCell(&netlist.Cell{Name: "pad", Kind: netlist.Input, Fixed: true})
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPseudoNetPullsCell(t *testing.T) {
 	c := genCircuit(t, 300, 40, 4)
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	ff := c.FlipFlops()[0]
 	target := geom.Pt(c.Die.Hi.X*0.9, c.Die.Hi.Y*0.9)
 	before := c.Cells[ff].Pos.Manhattan(target)
-	err := Incremental(c, Options{
+	err := incremental(c, Options{
 		PseudoNets: []PseudoNet{{Cell: ff, Target: target, Weight: 30}},
 	})
 	if err != nil {
@@ -105,11 +123,11 @@ func TestIncrementalStability(t *testing.T) {
 	// With no pseudo-nets, incremental placement must barely move cells
 	// (the paper requires a stable placer for stage 6).
 	c := genCircuit(t, 400, 50, 5)
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Positions()
-	if err := Incremental(c, Options{}); err != nil {
+	if err := incremental(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	moved, worst := 0.0, 0.0
@@ -131,7 +149,7 @@ func TestIncrementalStability(t *testing.T) {
 
 func TestIncrementalKeepsWirelengthReasonable(t *testing.T) {
 	c := genCircuit(t, 400, 50, 6)
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	base := c.SignalWL()
@@ -140,7 +158,7 @@ func TestIncrementalKeepsWirelengthReasonable(t *testing.T) {
 	for _, ff := range c.FlipFlops() {
 		pn = append(pn, PseudoNet{Cell: ff, Target: c.Die.Center(), Weight: 2})
 	}
-	if err := Incremental(c, Options{PseudoNets: pn}); err != nil {
+	if err := incremental(c, Options{PseudoNets: pn}); err != nil {
 		t.Fatal(err)
 	}
 	after := c.SignalWL()
@@ -151,7 +169,7 @@ func TestIncrementalKeepsWirelengthReasonable(t *testing.T) {
 
 func TestLegalizeRemovesOverlap(t *testing.T) {
 	c := genCircuit(t, 500, 60, 7)
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Legalize(c); err != nil {
@@ -172,7 +190,7 @@ func TestLegalizeRemovesOverlap(t *testing.T) {
 
 func TestLegalizePreservesLocality(t *testing.T) {
 	c := genCircuit(t, 500, 60, 8)
-	if err := Global(c, Options{}); err != nil {
+	if err := global(c, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Positions()
@@ -244,7 +262,7 @@ func TestQuickLegalizeAlwaysLegal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Global(c, Options{}); err != nil {
+		if err := global(c, Options{}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if err := Legalize(c); err != nil {

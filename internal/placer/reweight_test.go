@@ -25,7 +25,7 @@ func TestNetWeightIdentity(t *testing.T) {
 		if scaled {
 			opt.NetWeights = ones(len(c.Nets))
 		}
-		if err := Global(c, opt); err != nil {
+		if err := global(c, opt); err != nil {
 			t.Fatal(err)
 		}
 		var pn []PseudoNet
@@ -33,7 +33,7 @@ func TestNetWeightIdentity(t *testing.T) {
 			pn = append(pn, PseudoNet{Cell: ff, Target: c.Die.Center(), Weight: 4})
 		}
 		opt.PseudoNets = pn
-		if err := Incremental(c, opt); err != nil {
+		if err := incremental(c, opt); err != nil {
 			t.Fatal(err)
 		}
 		return c.Positions()
@@ -158,7 +158,7 @@ func TestNetWeightShortVector(t *testing.T) {
 		if pad {
 			w = append(w, ones(len(c.Nets)-3)...)
 		}
-		if err := Global(c, Options{NetWeights: w}); err != nil {
+		if err := global(c, Options{NetWeights: w}); err != nil {
 			t.Fatal(err)
 		}
 		return c.Positions()

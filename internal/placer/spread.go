@@ -11,22 +11,12 @@ import (
 	"rotaryclk/internal/par"
 )
 
-// Global runs global placement: an initial quadratic solve followed by
-// SpreadIters rounds of FastPlace-style density equalization re-anchored
-// into the quadratic system, leaving cells spread over the die with low
-// quadratic wirelength. Positions are written onto the circuit. The
-// quadratic system is assembled once and reused across every round; callers
-// that already hold a System for the circuit should use System.Global.
-func Global(c *netlist.Circuit, opt Options) error {
-	sys, err := NewSystem(c, opt.Obs)
-	if err != nil {
-		return err
-	}
-	return sys.Global(opt)
-}
-
-// Global runs global placement on the system's circuit, reusing the
-// already-built connectivity for the initial solve and every spread round.
+// Global runs global placement on the system's circuit: an initial
+// quadratic solve followed by SpreadIters rounds of FastPlace-style density
+// equalization re-anchored into the quadratic system, leaving cells spread
+// over the die with low quadratic wirelength. Positions are written onto the
+// circuit. The already-built connectivity is reused for the initial solve
+// and every spread round.
 func (s *System) Global(opt Options) error {
 	if err := faultinject.Hook(faultinject.SitePlacerGlobal); err != nil {
 		return err
@@ -88,23 +78,12 @@ func (s *System) globalLoop(opt Options, workers int) error {
 	return nil
 }
 
-// Incremental re-places the circuit starting from its current positions,
-// holding cells near where they are (stability anchors) while the
+// Incremental re-places the system's circuit starting from its current
+// positions, holding cells near where they are (stability anchors) while the
 // pseudo-nets pull flip-flops toward their rings. This is the stage-6
 // incremental placement of the flow; it is "stable" in the paper's sense:
-// with no pseudo-nets it reproduces the input placement. Callers that
-// re-place the same circuit repeatedly (the flow loop) should hold one
-// System and use System.Incremental so the connectivity build is paid once.
-func Incremental(c *netlist.Circuit, opt Options) error {
-	sys, err := NewSystem(c, opt.Obs)
-	if err != nil {
-		return err
-	}
-	return sys.Incremental(opt)
-}
-
-// Incremental runs incremental placement on the system's circuit, reusing
-// the already-built connectivity for both of its solves.
+// with no pseudo-nets it reproduces the input placement. The already-built
+// connectivity is reused for both of its solves.
 func (s *System) Incremental(opt Options) error {
 	if err := faultinject.Hook(faultinject.SitePlacerIncremental); err != nil {
 		return err

@@ -68,7 +68,7 @@ func TestGlobalBuildOnceMatchesRebuild(t *testing.T) {
 		c := detCircuit(t, 500, 60, 41)
 		opt := Options{Parallelism: workers}
 		opt.rebuildEachSolve = rebuild
-		if err := Global(c, opt); err != nil {
+		if err := global(c, opt); err != nil {
 			t.Fatal(err)
 		}
 		return c.Positions()
@@ -85,7 +85,7 @@ func TestGlobalBuildOnceMatchesRebuild(t *testing.T) {
 func TestIncrementalBuildOnceMatchesRebuild(t *testing.T) {
 	run := func(workers int, rebuild bool) []geom.Point {
 		c := detCircuit(t, 400, 50, 43)
-		if err := Global(c, Options{Parallelism: workers}); err != nil {
+		if err := global(c, Options{Parallelism: workers}); err != nil {
 			t.Fatal(err)
 		}
 		var pn []PseudoNet
@@ -94,7 +94,7 @@ func TestIncrementalBuildOnceMatchesRebuild(t *testing.T) {
 		}
 		opt := Options{Parallelism: workers, PseudoNets: pn}
 		opt.rebuildEachSolve = rebuild
-		if err := Incremental(c, opt); err != nil {
+		if err := incremental(c, opt); err != nil {
 			t.Fatal(err)
 		}
 		return c.Positions()
@@ -107,8 +107,8 @@ func TestIncrementalBuildOnceMatchesRebuild(t *testing.T) {
 }
 
 // TestSystemReusedAcrossCalls mirrors the flow's threading: one System
-// serving a Global call and then repeated Incremental calls must match the
-// package-level functions that build a fresh system per call.
+// serving a Global call and then repeated Incremental calls must match a
+// fresh system built per call.
 func TestSystemReusedAcrossCalls(t *testing.T) {
 	pulls := func(c *netlist.Circuit, w float64) []PseudoNet {
 		var pn []PseudoNet
@@ -119,11 +119,11 @@ func TestSystemReusedAcrossCalls(t *testing.T) {
 	}
 
 	want := detCircuit(t, 300, 40, 47)
-	if err := Global(want, Options{}); err != nil {
+	if err := global(want, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for iter := 1; iter <= 3; iter++ {
-		if err := Incremental(want, Options{PseudoNets: pulls(want, float64(iter))}); err != nil {
+		if err := incremental(want, Options{PseudoNets: pulls(want, float64(iter))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,17 +171,18 @@ func TestSystemObsCounters(t *testing.T) {
 		t.Errorf("placer.system.reuses = %d, want 6 (4 global + 2 incremental)", got)
 	}
 
-	// The package-level wrappers build a fresh system per call.
+	// A fresh system per call (the one-shot test helpers) counts a build
+	// for each.
 	reg2 := obs.NewRegistry()
 	c2 := detCircuit(t, 200, 30, 53)
-	if err := Global(c2, Options{SpreadIters: 3, Obs: reg2}); err != nil {
+	if err := global(c2, Options{SpreadIters: 3, Obs: reg2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Incremental(c2, Options{PseudoNets: pn, Obs: reg2}); err != nil {
+	if err := incremental(c2, Options{PseudoNets: pn, Obs: reg2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg2.Counter("placer.system.builds"); got != 2 {
-		t.Errorf("wrapper placer.system.builds = %d, want 2", got)
+		t.Errorf("one-shot placer.system.builds = %d, want 2", got)
 	}
 }
 

@@ -36,13 +36,13 @@ func mlOptions(workers int) Options {
 // Global/globalLoop split to the pre-V-cycle behavior.
 func TestMultilevelOffIdentity(t *testing.T) {
 	ref := mlCircuit(t, 71)
-	if err := Global(ref, Options{Parallelism: 1}); err != nil {
+	if err := global(ref, Options{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Positions()
 	for _, workers := range []int{1, 8} {
 		c := mlCircuit(t, 71)
-		if err := Global(c, Options{Parallelism: workers, Multilevel: false}); err != nil {
+		if err := global(c, Options{Parallelism: workers, Multilevel: false}); err != nil {
 			t.Fatal(err)
 		}
 		for i, p := range c.Positions() {
@@ -61,7 +61,7 @@ func TestMultilevelOffIdentity(t *testing.T) {
 func TestVCycleDeterministicAcrossWorkerCounts(t *testing.T) {
 	ref := mlCircuit(t, 73)
 	reg := obs.NewRegistry()
-	if err := Global(ref, func() Options { o := mlOptions(1); o.Obs = reg; return o }()); err != nil {
+	if err := global(ref, func() Options { o := mlOptions(1); o.Obs = reg; return o }()); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter("placer.ml.vcycles") != 1 {
@@ -70,7 +70,7 @@ func TestVCycleDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	want := ref.Positions()
 	c := mlCircuit(t, 73)
-	if err := Global(c, mlOptions(8)); err != nil {
+	if err := global(c, mlOptions(8)); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range c.Positions() {
@@ -88,7 +88,7 @@ func TestVCycleDeterministicAcrossWorkerCounts(t *testing.T) {
 // scores better on it, which is exactly why the oracle legalizes first.
 func TestVCycleQuality(t *testing.T) {
 	flat := mlCircuit(t, 79)
-	if err := Global(flat, Options{Parallelism: 1}); err != nil {
+	if err := global(flat, Options{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Legalize(flat); err != nil {
@@ -97,7 +97,7 @@ func TestVCycleQuality(t *testing.T) {
 	flatWL := flat.SignalWL()
 
 	ml := mlCircuit(t, 79)
-	if err := Global(ml, mlOptions(1)); err != nil {
+	if err := global(ml, mlOptions(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := Legalize(ml); err != nil {
@@ -120,7 +120,7 @@ func TestVCycleFallback(t *testing.T) {
 	// Too small to coarsen: movable count is already at or below MLCoarsest.
 	small := genCircuit(t, 300, 40, 83)
 	reg := obs.NewRegistry()
-	if err := Global(small, Options{Multilevel: true, Obs: reg, Parallelism: 1}); err != nil {
+	if err := global(small, Options{Multilevel: true, Obs: reg, Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter("placer.ml.fallback") != 1 || reg.Counter("placer.ml.vcycles") != 0 {
@@ -129,7 +129,7 @@ func TestVCycleFallback(t *testing.T) {
 	}
 	// The fallback must still be the flat placement, bit for bit.
 	refC := genCircuit(t, 300, 40, 83)
-	if err := Global(refC, Options{Parallelism: 1}); err != nil {
+	if err := global(refC, Options{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range small.Positions() {
@@ -147,14 +147,14 @@ func TestVCycleDegenerateInputs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		allFixed.AddCell(&netlist.Cell{Kind: netlist.Input, Fixed: true, W: 1, H: 1, Pos: mlDie().Center()})
 	}
-	if err := Global(allFixed, Options{Multilevel: true, MLCoarsest: 1}); err != nil {
+	if err := global(allFixed, Options{Multilevel: true, MLCoarsest: 1}); err != nil {
 		t.Fatal(err)
 	}
 
 	single := netlist.New("single")
 	single.Die = mlDie()
 	single.AddCell(&netlist.Cell{Kind: netlist.Gate, W: 2, H: 1})
-	if err := Global(single, Options{Multilevel: true, MLCoarsest: 1}); err != nil {
+	if err := global(single, Options{Multilevel: true, MLCoarsest: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !single.Die.Contains(single.Cells[0].Pos) {
@@ -169,7 +169,7 @@ func TestVCycleDegenerateInputs(t *testing.T) {
 		loose.AddCell(&netlist.Cell{Kind: netlist.Gate, W: 1, H: 1})
 	}
 	reg := obs.NewRegistry()
-	if err := Global(loose, Options{Multilevel: true, MLCoarsest: 2, Obs: reg, Parallelism: 1}); err != nil {
+	if err := global(loose, Options{Multilevel: true, MLCoarsest: 2, Obs: reg, Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter("placer.ml.fallback") != 1 {
@@ -191,7 +191,7 @@ func TestVCycleCancelMidDescent(t *testing.T) {
 	reg := obs.NewRegistry()
 	opt := mlOptions(1)
 	opt.Obs = reg
-	err := Global(c, opt)
+	err := global(c, opt)
 	if err == nil || !stop.IsStop(err) {
 		t.Fatalf("want a stop-classified error, got %v", err)
 	}
@@ -212,7 +212,7 @@ func TestVCycleCancelMidDescent(t *testing.T) {
 // the oracle's negative test.
 func TestVCycleCorruptSiteDegradesQuality(t *testing.T) {
 	clean := mlCircuit(t, 97)
-	if err := Global(clean, mlOptions(1)); err != nil {
+	if err := global(clean, mlOptions(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := Legalize(clean); err != nil {
@@ -224,7 +224,7 @@ func TestVCycleCorruptSiteDegradesQuality(t *testing.T) {
 	restore := faultinject.Enable(faultinject.Rule{
 		Site: faultinject.SitePlacerMLCorrupt, Err: errCorrupt,
 	})
-	err := Global(hurt, mlOptions(1))
+	err := global(hurt, mlOptions(1))
 	restore()
 	if err != nil {
 		t.Fatalf("corruption must be silent (wrong answer, not error): %v", err)

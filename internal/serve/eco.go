@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"rotaryclk/internal/assign"
@@ -187,55 +186,6 @@ type ecoBase struct {
 	tap     *assign.TapCache
 }
 
-// ecoBaseCache is the keyed singleflight for base placements, the same
-// discipline as templateCache: one build per spec no matter how many
-// concurrent requests arrive, failed builds evicted.
-type ecoBaseCache struct {
-	mu sync.Mutex
-	m  map[string]*ecoBaseEntry
-}
-
-type ecoBaseEntry struct {
-	ready chan struct{} // closed when b/err are set
-	b     *ecoBase
-	err   error
-}
-
-func (c *ecoBaseCache) init() {
-	c.m = make(map[string]*ecoBaseEntry)
-}
-
-func (c *ecoBaseCache) get(key string, build func() (*ecoBase, error)) (b *ecoBase, hit bool, err error) {
-	c.mu.Lock()
-	e, ok := c.m[key]
-	if ok {
-		c.mu.Unlock()
-		<-e.ready
-		return e.b, true, e.err
-	}
-	e = &ecoBaseEntry{ready: make(chan struct{})}
-	c.m[key] = e
-	c.mu.Unlock()
-
-	e.b, e.err = build()
-	close(e.ready)
-	if e.err != nil {
-		c.mu.Lock()
-		if c.m[key] == e {
-			delete(c.m, key)
-		}
-		c.mu.Unlock()
-	}
-	return e.b, false, e.err
-}
-
-// Len reports the number of cached bases (testing hook).
-func (c *ecoBaseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // buildECOBase runs the full flow once for a spec and captures everything
 // later ECO requests reuse. Like template builds, the base run carries no
 // deadline and no registry — it is a shared cost no single request should
@@ -341,7 +291,9 @@ func (s *Server) executeECO(j *job) {
 		return
 	}
 
-	res, runErr, panicked := s.runECOProtected(st, req.Deltas, cfg, eco.Options{Strict: req.Strict})
+	res, runErr, panicked := protect(func() (*core.ECOResult, error) {
+		return s.runECO(st, req.Deltas, cfg, eco.Options{Strict: req.Strict})
+	})
 	elapsed := time.Since(start)
 	if panicked {
 		s.stats.add(&s.stats.panics, 1)
@@ -390,15 +342,4 @@ func (s *Server) executeECO(j *job) {
 		s.stats.add(&s.stats.deadlined, 1)
 	}
 	s.stats.observe(elapsed)
-}
-
-// runECOProtected calls the ECO entry point with a per-request panic guard.
-func (s *Server) runECOProtected(st *eco.State, deltas []eco.Delta, cfg core.Config, opt eco.Options) (res *core.ECOResult, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err, panicked = nil, fmt.Errorf("%v", r), true
-		}
-	}()
-	res, err = s.runECO(st, deltas, cfg, opt)
-	return res, err, false
 }

@@ -220,7 +220,7 @@ func (s *Server) execute(j *job) {
 		cfg.Objective = core.WeightedSum
 	}
 
-	res, runErr, panicked := s.runProtected(c, cfg)
+	res, runErr, panicked := protect(func() (*core.Result, error) { return s.runFlow(c, cfg) })
 	elapsed := time.Since(start)
 	if panicked {
 		s.stats.add(&s.stats.panics, 1)
@@ -276,17 +276,6 @@ func (s *Server) execute(j *job) {
 	s.stats.observe(elapsed)
 }
 
-// runProtected calls the flow with a per-job panic guard.
-func (s *Server) runProtected(c *netlist.Circuit, cfg core.Config) (res *core.Result, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err, panicked = nil, fmt.Errorf("%v", r), true
-		}
-	}()
-	res, err = s.runFlow(c, cfg)
-	return res, err, false
-}
-
 // perJobWorkers carves the shared kernel-worker budget across the pool.
 func (s *Server) perJobWorkers() int {
 	w := s.cfg.Parallelism / s.cfg.Workers
@@ -294,6 +283,15 @@ func (s *Server) perJobWorkers() int {
 		w = 1
 	}
 	return w
+}
+
+// template is the immutable state every job with the same circuit spec can
+// share: the quadratic placement system (forked per job, never solved on
+// directly) and the tapping-solve cache (internally synchronized; keyed per
+// ring-array geometry, which the template key encodes).
+type template struct {
+	sys *placer.System
+	tap *assign.TapCache
 }
 
 // buildTemplate assembles the shareable immutable state for a circuit spec:

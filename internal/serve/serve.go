@@ -125,8 +125,8 @@ type Server struct {
 
 	workers sync.WaitGroup
 
-	templates templateCache
-	ecoBases  ecoBaseCache
+	templates flight[*template]
+	ecoBases  flight[*ecoBase]
 	stats     stats
 
 	// runFlow and runECO are the solver entry points; tests replace them to

@@ -344,7 +344,7 @@ func TestConcurrentDeterminism(t *testing.T) {
 // TestTemplateSingleflight: concurrent gets for one key run the builder
 // exactly once, and a failed build is evicted instead of poisoning the key.
 func TestTemplateSingleflight(t *testing.T) {
-	var c templateCache
+	var c flight[*template]
 	c.init()
 	var builds atomic32
 	var wg sync.WaitGroup

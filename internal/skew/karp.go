@@ -137,5 +137,5 @@ func MaxSlackExactStop(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold f
 		}
 	}
 	// Extremely ill-conditioned input: fall back to the binary search.
-	return MaxSlackStop(tok, n, pairs, T, setup, hold, 1e-6)
+	return MaxSlack(tok, n, pairs, T, setup, hold, 1e-6)
 }

@@ -71,7 +71,7 @@ func TestMaxSlackExactMatchesBinarySearch(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		mBS, schedBS, err := MaxSlack(n, pairs, T, setup, hold, 1e-6)
+		mBS, schedBS, err := MaxSlack(nil, n, pairs, T, setup, hold, 1e-6)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -106,7 +106,7 @@ func BenchmarkMaxSlackBinarySearch(b *testing.B) {
 	pairs := buildRandomPairs(rng, 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MaxSlack(40, pairs, 1000, 30, 15, 1e-6); err != nil {
+		if _, _, err := MaxSlack(nil, 40, pairs, 1000, 30, 15, 1e-6); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -114,7 +114,7 @@ func TestPropertyMaxSlackAchievesItsSlack(t *testing.T) {
 			continue
 		}
 		trials++
-		M, sched, err := MaxSlack(n, pairs, propT, propSetup, propHold, propTol)
+		M, sched, err := MaxSlack(nil, n, pairs, propT, propSetup, propHold, propTol)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trials, err)
 		}
@@ -159,7 +159,7 @@ func TestPropertyMinDeltaKeepsWorkingSlack(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		M, sched, err := MaxSlack(n, pairs, propT, propSetup, propHold, propTol)
+		M, sched, err := MaxSlack(nil, n, pairs, propT, propSetup, propHold, propTol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestPropertyWeightedSumKeepsWorkingSlack(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		M, sched, err := MaxSlack(n, pairs, propT, propSetup, propHold, propTol)
+		M, sched, err := MaxSlack(nil, n, pairs, propT, propSetup, propHold, propTol)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,15 +136,10 @@ func normalize(t []float64) {
 // MaxSlack computes the maximum slack M such that the constraint system of
 // the pairs is feasible, together with a schedule achieving it (the
 // formulation (5)-(7) of the paper). The slack is found by binary search to
-// tol; Bellman-Ford provides each feasibility certificate.
-func MaxSlack(n int, pairs []SeqPair, T, setup, hold, tol float64) (float64, []float64, error) {
-	return MaxSlackStop(nil, n, pairs, T, setup, hold, tol)
-}
-
-// MaxSlackStop is MaxSlack with a cooperative stop token; the token is
-// checked once per Bellman-Ford round of every feasibility probe, so a fired
-// deadline surfaces within one O(m) pass.
-func MaxSlackStop(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold, tol float64) (float64, []float64, error) {
+// tol; Bellman-Ford provides each feasibility certificate. The optional
+// stop token (nil for none) is checked once per Bellman-Ford round of every
+// feasibility probe, so a fired deadline surfaces within one O(m) pass.
+func MaxSlack(tok *stop.Token, n int, pairs []SeqPair, T, setup, hold, tol float64) (float64, []float64, error) {
 	if tol <= 0 {
 		tol = 1e-3
 	}

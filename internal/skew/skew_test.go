@@ -99,7 +99,7 @@ func TestMaxSlackVsLP(t *testing.T) {
 		if len(pairs) == 0 {
 			continue
 		}
-		M, sched, err := MaxSlack(n, pairs, T, setup, hold, 1e-4)
+		M, sched, err := MaxSlack(nil, n, pairs, T, setup, hold, 1e-4)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -137,7 +137,7 @@ func TestMaxSlackNegativeWhenTimingDoesNotClose(t *testing.T) {
 	// only at a (large) negative slack, honestly reporting a design that
 	// cannot close timing. The self-loop forces M <= T - DMax - setup.
 	pairs := []SeqPair{{U: 0, V: 0, DMax: 5000, DMin: 5000}}
-	M, sched, err := MaxSlack(1, pairs, 1000, 30, 15, 1e-3)
+	M, sched, err := MaxSlack(nil, 1, pairs, 1000, 30, 15, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}

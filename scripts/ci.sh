@@ -2,7 +2,8 @@
 # CI entry points for the repo: test, race, bench.
 #
 #   scripts/ci.sh test    go build + gofmt -l + go vet + go test over every
-#                         package (tier-1 gate)
+#                         package (tier-1 gate), plus go vet + go test of the
+#                         nested flowbench benchmark module
 #   scripts/ci.sh race    go test -race over every package (parallel kernels)
 #   scripts/ci.sh fuzz    smoke-fuzz every Fuzz target (10s each) on top of
 #                         the checked-in corpora under testdata/fuzz/
@@ -79,6 +80,9 @@ test)
     fi
     go vet ./...
     go test ./...
+    # flowbench is a nested module that root ./... skips: build and
+    # self-test it against the packages it drives.
+    (cd flowbench && go vet ./... && go test ./...)
     ;;
 race)
     go test -race ./...
