@@ -38,8 +38,9 @@ scaling:
 scaling-smoke:
 	sh scripts/ci.sh scaling
 
-# ECO smoke: 20 random edits at 20k cells, each proven equivalent to the
-# from-scratch arm, mean edit latency >= 5x a full re-run.
+# ECO smoke: the ECO outcome golden and corrupted-patch oracle negative, then
+# 20 random edits at 20k cells, each proven equivalent to the from-scratch
+# arm, mean edit latency >= 5x a full re-run.
 eco:
 	sh scripts/ci.sh eco
 

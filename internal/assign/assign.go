@@ -33,20 +33,6 @@ import (
 // recovery (widen K, relax capacity, enable TapFallback).
 var ErrInfeasible = errors.New("assign: infeasible")
 
-// LPPath selects the solver behind MinMaxCap's LP relaxation.
-type LPPath int
-
-const (
-	// LPSparse (the default) solves the relaxation with the specialized
-	// bipartite-basis simplex (lp.SolveAssignLP), whose per-pivot cost is an
-	// rings×rings working inverse instead of the dense (FFs+rings)² tableau.
-	LPSparse LPPath = iota
-	// LPDense routes through the generic dense two-phase simplex, kept as
-	// the differential-oracle reference path (internal/oracle cross-checks
-	// the two optima to 1e-9 on random instances).
-	LPDense
-)
-
 // FF is one flip-flop to assign: its cell ID, placed location, and the clock
 // delay target produced by skew optimization.
 type FF struct {
@@ -63,11 +49,9 @@ type Problem struct {
 	// pruning, as in the paper's flow network: far-away rings get no arc).
 	// Default 6.
 	K int
-	// LP selects MinMaxCap's relaxation solver: LPSparse (default, the
-	// bipartite-basis simplex) or LPDense (the generic simplex reference).
-	LP LPPath
 	// Capacity is the per-ring flip-flop limit U_j for MinCost. Empty means
-	// a uniform default of ceil(1.25 * len(FFs) / numRings).
+	// the uniform default of uniformCapacity: 1.25x headroom over an even
+	// split, plus one.
 	Capacity []int
 	// MaxStub, when positive, prunes candidate arcs whose tapping stub
 	// exceeds it (Section III's stub-length limit), always keeping each
@@ -132,17 +116,13 @@ func (p *Problem) normalize() error {
 		return fmt.Errorf("assign: no flip-flops")
 	}
 	if p.K <= 0 {
-		p.K = 6
+		p.K = defaultK
 	}
 	if p.K > len(p.Array.Rings) {
 		p.K = len(p.Array.Rings)
 	}
 	if len(p.Capacity) == 0 {
-		u := (len(p.FFs)*5/4)/len(p.Array.Rings) + 1
-		p.Capacity = make([]int, len(p.Array.Rings))
-		for j := range p.Capacity {
-			p.Capacity[j] = u
-		}
+		p.Capacity = uniformCapacity(len(p.FFs), len(p.Array.Rings), 1)
 	} else if len(p.Capacity) != len(p.Array.Rings) {
 		return fmt.Errorf("assign: %d capacities for %d rings", len(p.Capacity), len(p.Array.Rings))
 	}
@@ -420,43 +400,19 @@ func MinMaxCap(p *Problem) (*Assignment, *Relax, error) {
 		return nil, nil, err
 	}
 	p.obsReg.Add("assign.minmaxcap.calls", 1)
-	var (
-		x     [][]float64
-		lpOpt float64
-		iters int
-	)
-	if p.LP == LPDense {
-		p.obsReg.Add("assign.lp.path.dense", 1)
-		prob, vars, z := buildMinMaxLP(p, cands, false)
-		sol, err := prob.SolveOpts(lp.Options{Obs: p.obsReg, Stop: p.Stop})
-		if err != nil {
-			return nil, nil, err
-		}
-		if sol.Status != lp.Optimal {
-			if sol.BudgetExceeded() {
-				return nil, nil, fmt.Errorf("assign: LP relaxation %v: %w", sol.Status, lp.ErrBudget)
-			}
-			return nil, nil, fmt.Errorf("assign: LP relaxation %v", sol.Status)
-		}
-		x = perFFValues(cands, vars, sol.X)
-		lpOpt, iters = sol.X[z], sol.Iters
-	} else {
-		p.obsReg.Add("assign.lp.path.sparse", 1)
-		res, err := lp.SolveAssignLP(sparseArcs(cands), len(p.Array.Rings), lp.Options{Obs: p.obsReg, Stop: p.Stop})
-		if err != nil {
-			return nil, nil, err
-		}
-		if res.Status != lp.Optimal {
-			if res.Status == lp.IterLimit {
-				return nil, nil, fmt.Errorf("assign: LP relaxation %v: %w", res.Status, lp.ErrBudget)
-			}
-			return nil, nil, fmt.Errorf("assign: LP relaxation %v", res.Status)
-		}
-		x, lpOpt, iters = res.X, res.Z, res.Pivots
+	res, err := lp.SolveAssignLP(sparseArcs(cands), len(p.Array.Rings), lp.Options{Obs: p.obsReg, Stop: p.Stop})
+	if err != nil {
+		return nil, nil, err
 	}
-	choice := greedyRound(cands, x)
+	if res.Status != lp.Optimal {
+		if res.Status == lp.IterLimit {
+			return nil, nil, fmt.Errorf("assign: LP relaxation %v: %w", res.Status, lp.ErrBudget)
+		}
+		return nil, nil, fmt.Errorf("assign: LP relaxation %v", res.Status)
+	}
+	choice := greedyRound(cands, res.X)
 	a := p.finish(choice)
-	rel := &Relax{LPOpt: lpOpt, Solution: a.MaxCap, LPIters: iters}
+	rel := &Relax{LPOpt: res.Z, Solution: a.MaxCap, LPIters: res.Pivots}
 	if rel.LPOpt > 0 {
 		rel.IG = rel.Solution / rel.LPOpt
 	}
@@ -514,9 +470,9 @@ func greedyRound(cands [][]candidate, x [][]float64) []candidate {
 	return choice
 }
 
-// buildMinMaxLP constructs min z s.t. sum_j x_ij = 1, sum_i C_ij x_ij <= z.
-// When integer is true the x variables are integral (for the B&B baseline).
-func buildMinMaxLP(p *Problem, cands [][]candidate, integer bool) (*lp.Problem, [][]int, int) {
+// buildMinMaxILP constructs min z s.t. sum_j x_ij = 1, sum_i C_ij x_ij <= z
+// over integral x, the branch-and-bound baseline's model.
+func buildMinMaxILP(p *Problem, cands [][]candidate) (*lp.Problem, [][]int) {
 	prob := lp.NewProblem()
 	z := prob.AddVar("z", 1, 0, lp.Inf)
 	vars := make([][]int, len(cands))
@@ -525,27 +481,20 @@ func buildMinMaxLP(p *Problem, cands [][]candidate, integer bool) (*lp.Problem, 
 		vars[i] = make([]int, len(cs))
 		rowCoefs := make([]lp.Coef, len(cs))
 		for k, c := range cs {
-			name := fmt.Sprintf("x_%d_%d", i, c.ring)
-			var v int
-			if integer {
-				v = prob.AddIntVar(name, 0, 0, 1)
-			} else {
-				v = prob.AddVar(name, 0, 0, 1)
-			}
+			v := prob.AddIntVar(fmt.Sprintf("x_%d_%d", i, c.ring), 0, 0, 1)
 			vars[i][k] = v
 			rowCoefs[k] = lp.Coef{Var: v, Val: 1}
 			ringCoefs[c.ring] = append(ringCoefs[c.ring], lp.Coef{Var: v, Val: c.cap})
 		}
 		prob.AddConstraint(lp.EQ, 1, rowCoefs...)
 	}
-	for j, coefs := range ringCoefs {
+	for _, coefs := range ringCoefs {
 		if len(coefs) == 0 {
 			continue
 		}
-		_ = j
 		prob.AddConstraint(lp.LE, 0, append(coefs, lp.Coef{Var: z, Val: -1})...)
 	}
-	return prob, vars, z
+	return prob, vars
 }
 
 // MinMaxCapILP solves the same ILP with the generic branch-and-bound solver
@@ -560,7 +509,7 @@ func MinMaxCapILP(p *Problem, opts lp.ILPOptions) (*Assignment, lp.ILPSolution, 
 	if err != nil {
 		return nil, lp.ILPSolution{}, err
 	}
-	prob, vars, _ := buildMinMaxLP(p, cands, true)
+	prob, vars := buildMinMaxILP(p, cands)
 	if opts.Obs == nil {
 		opts.Obs = p.obsReg
 	}

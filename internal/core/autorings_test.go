@@ -35,11 +35,11 @@ func TestAutoRings(t *testing.T) {
 	bestScore := 0.0
 	for _, p := range points {
 		if p.Rings == best {
-			bestScore = cfg.TapWeight*p.Final.TapWL + p.Final.SignalWL
+			bestScore = cost(cfg, p.Final)
 		}
 	}
 	for _, p := range points {
-		if s := cfg.TapWeight*p.Final.TapWL + p.Final.SignalWL; s < bestScore-1e-9 {
+		if s := cost(cfg, p.Final); s < bestScore-1e-9 {
 			t.Errorf("ring count %d scores %v, better than chosen %d (%v)", p.Rings, s, best, bestScore)
 		}
 	}

@@ -20,12 +20,14 @@ type ECOResult struct {
 // incremental re-optimization with ApplyECO. The circuit must be the one the
 // run placed (its positions are the state's baseline) and res must carry an
 // assignment — a Degraded result that stopped before the base case cannot
-// seed ECO. cfg should be the configuration the run used; its normalized
-// knobs (K, SlackFrac, Parallelism, rotary/timing constants) carry over so
-// edits re-solve the same problem the flow solved. As in Run, cfg.System may
-// supply a prebuilt template system to fork instead of assembling the
-// connectivity from scratch, and cfg.TapCache seeds the tapping cache —
-// ideally the same cache the run filled.
+// seed ECO. cfg should be the configuration the run used; its rotary and
+// timing constants and Parallelism carry over so edits re-solve the same
+// problem the flow solved. The candidate count, ring capacities, working
+// slack fraction and both relaxation ladders are not state: ECO uses the
+// flow's own (assign.Recover, skew.WorkSlack, skew.Margins). As in Run,
+// cfg.System may supply a prebuilt template system to fork instead of
+// assembling the connectivity from scratch, and cfg.TapCache seeds the
+// tapping cache — ideally the same cache the run filled.
 func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error) {
 	cfg.normalize()
 	if res == nil || res.Assign == nil || res.Array == nil || len(res.FFCells) == 0 {
@@ -52,10 +54,8 @@ func NewECOState(c *netlist.Circuit, cfg Config, res *Result) (*eco.State, error
 		Ring:        append([]int(nil), res.Assign.Ring...),
 		Assign:      res.Assign,
 		WorkSlack:   res.WorkSlack,
-		SlackFrac:   cfg.SlackFrac,
 		Params:      cfg.Params,
 		TModel:      cfg.TModel,
-		K:           cfg.K,
 		Parallelism: cfg.Parallelism,
 	}, nil
 }

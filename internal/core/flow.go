@@ -55,50 +55,48 @@ const (
 	WeightedSum                      // minimize sum w_i |t_i - target_i|
 )
 
+// Flow constants no caller tunes.
+const (
+	ringFill    = 0.6  // ring side as a fraction of its tile
+	tapWeight   = 8    // weight of tapping WL in the stage-5 overall cost
+	convergeTol = 0.01 // relative cost improvement to keep iterating
+
+	timingPaths = 8   // critical paths reweighted per timing-driven iteration
+	timingDecay = 0.3 // fraction of a net's accumulated boost kept per iteration
+	timingMaxW  = 4   // cap on any net's weight scale
+)
+
 // Config parameterizes the flow.
 type Config struct {
 	Params   rotary.Params // rotary ring electrical/timing constants
 	TModel   timing.Model  // STA calibration
 	PowerPar power.Params
 
-	NumRings int     // rings in the array (Table II's final column)
-	RingFill float64 // ring side as a fraction of its tile (default 0.6)
+	NumRings int // rings in the array (Table II's final column)
 
 	Assigner  Assigner
 	Objective SkewObjective
-	K         int // candidate rings per flip-flop (default 6)
 
 	MaxIters     int     // stage 3-6 iterations (default 5, as in the paper)
 	PseudoWeight float64 // pseudo-net pull weight, ramped by iteration (default 4)
-	TapWeight    float64 // weight of tapping WL in the stage-5 overall cost (default 8)
-	SlackFrac    float64 // fraction of max slack reserved during stage 4 (default 0.5)
-	ConvergeTol  float64 // relative cost improvement to keep iterating (default 0.01)
 
 	SkipInitialPlace bool // reuse the circuit's existing placement
 
 	// TimingDriven enables critical-path net reweighting inside the
 	// re-optimization loop (ROADMAP item 3): before each stage-6 re-place,
-	// the K lowest-slack sequential pairs under the current schedule are
+	// the 8 lowest-slack sequential pairs under the current schedule are
 	// extracted and the nets their D_max paths cross get a bounded weight
 	// boost in the quadratic system (placer.Options.NetWeights), pulling
-	// slow paths shorter. Default off; with it off the flow is bit-identical
-	// to earlier releases.
+	// slow paths shorter. A net keeps 0.3 of its accumulated boost each
+	// iteration and its scale is capped at 4. Default off; with it off the
+	// flow is bit-identical to earlier releases.
 	TimingDriven bool
-	// TimingPaths is K, the number of critical paths reweighted per
-	// iteration (default 8).
-	TimingPaths int
 	// TimingBoost is the scale increment applied to the most critical
 	// path's nets, tapering linearly with rank (default 1.0). Negative
 	// means zero boost: the overlay machinery runs but every net scale
 	// stays exactly 1.0 — the identity mode the oracle checks against the
 	// default flow.
 	TimingBoost float64
-	// TimingDecay is the fraction of the accumulated boost a net retains
-	// each iteration (exponential history, so weights on paths that leave
-	// the critical set relax instead of oscillating; default 0.3).
-	TimingDecay float64
-	// TimingMaxW caps any net's weight scale (default 4).
-	TimingMaxW float64
 
 	// Multilevel switches stage-1 global placement to the mPL-style
 	// V-cycle (placer.Options.Multilevel): coarsen the circuit into a
@@ -172,38 +170,14 @@ func (c *Config) normalize() {
 	if c.NumRings <= 0 {
 		c.NumRings = 16
 	}
-	if c.RingFill <= 0 || c.RingFill > 1 {
-		c.RingFill = 0.6
-	}
-	if c.K <= 0 {
-		c.K = 6
-	}
 	if c.MaxIters <= 0 {
 		c.MaxIters = 5
 	}
 	if c.PseudoWeight <= 0 {
 		c.PseudoWeight = 4
 	}
-	if c.TapWeight <= 0 {
-		c.TapWeight = 8
-	}
-	if c.SlackFrac <= 0 || c.SlackFrac > 1 {
-		c.SlackFrac = 0.5
-	}
-	if c.ConvergeTol <= 0 {
-		c.ConvergeTol = 0.01
-	}
-	if c.TimingPaths <= 0 {
-		c.TimingPaths = 8
-	}
 	if c.TimingBoost == 0 {
 		c.TimingBoost = 1.0
-	}
-	if c.TimingDecay <= 0 || c.TimingDecay >= 1 {
-		c.TimingDecay = 0.3
-	}
-	if c.TimingMaxW <= 1 {
-		c.TimingMaxW = 4
 	}
 }
 
@@ -488,7 +462,7 @@ func (f *flow) partial(se *StageError) {
 		}
 	}
 	if res.Array == nil {
-		if a, err := rotary.SquareArray(c.Die, cfg.NumRings, cfg.RingFill, cfg.Params); err == nil {
+		if a, err := rotary.SquareArray(c.Die, cfg.NumRings, ringFill, cfg.Params); err == nil {
 			res.Array = a
 		}
 	}
@@ -605,7 +579,7 @@ func (f *flow) place(sp *obs.Span) *StageError {
 
 // ringArray lays the rotary ring array over the die.
 func (f *flow) ringArray(*obs.Span) *StageError {
-	arr, err := rotary.SquareArray(f.c.Die, f.cfg.NumRings, f.cfg.RingFill, f.cfg.Params)
+	arr, err := rotary.SquareArray(f.c.Die, f.cfg.NumRings, ringFill, f.cfg.Params)
 	if err != nil {
 		return &StageError{Stage: 3, Kind: InvalidInput, Err: fmt.Errorf("ring array: %w", err)}
 	}
@@ -631,14 +605,48 @@ func (f *flow) maxSlack(sp *obs.Span) *StageError {
 }
 
 // assignRings is stage 3, before the loop (the base case) and in each inner
-// round of it: assignment to the current schedule under the
-// infeasibility-recovery ladder.
+// round of it: assignment to the current schedule under assign's
+// infeasibility-recovery ladder (assign.Recover) — the default instance
+// first, then progressively wider candidate sets and relaxed ring
+// capacities, and as a last resort the nearest-point tapping fallback
+// (recorded, since fallback taps do not realize the skew targets). Strict
+// mode skips the ladder.
 func (f *flow) assignRings(*obs.Span) *StageError {
-	asg, err := f.assignRecover()
+	ffs := make([]assign.FF, f.n)
+	for i, id := range f.res.FFCells {
+		ffs[i] = assign.FF{Cell: id, Pos: f.c.Cells[id].Pos, Target: f.sched[i]}
+	}
+	p := &assign.Problem{
+		Array:       f.res.Array,
+		FFs:         ffs,
+		Parallelism: f.cfg.Parallelism,
+		Cache:       f.tap,
+		Obs:         f.reg,
+		Stop:        f.cfg.Stop,
+	}
+	solve := assign.MinCost
+	if f.cfg.Assigner == ILP {
+		solve = func(p *assign.Problem) (*assign.Assignment, error) {
+			a, _, err := assign.MinMaxCap(p)
+			return a, err
+		}
+	}
+	relaxed := func(action string, err error) {
+		f.res.event(3, f.iter, Infeasible, action, err)
+		f.reg.Add("core.recover.assign", 1)
+	}
+	if f.cfg.Strict {
+		relaxed = nil
+	}
+	a, err := assign.Recover(p, solve, solve, relaxed)
 	if err != nil {
 		return f.fail(3, fmt.Errorf("assignment: %w", err))
 	}
-	f.asg = asg
+	if len(a.Fallbacks) > 0 {
+		f.res.event(3, f.iter, Infeasible,
+			fmt.Sprintf("%d flip-flop(s) tapped via nearest-point fallback", len(a.Fallbacks)), nil)
+	}
+	f.asg = a
 	return nil
 }
 
@@ -650,9 +658,9 @@ func (f *flow) setBase() {
 	res.Base = measure(f.c, f.cfg, f.asg, f.n)
 	res.Final = res.Base
 	res.PerIter = append(res.PerIter, res.Base)
-	res.WorkSlack = workSlack(f.cfg.SlackFrac, res.MaxSlack)
+	res.WorkSlack = skew.WorkSlack(res.MaxSlack)
 	f.best = snapshot{pos: f.c.Positions(), sched: f.sched, asg: f.asg, m: res.Base, mWork: res.WorkSlack}
-	f.prevCost = f.cost(res.Base)
+	f.prevCost = cost(f.cfg, res.Base)
 	f.bestCost = f.prevCost
 	// Timing-driven mode: one criticality scale per net, persistent across
 	// iterations so the exponential-decay history damps oscillation. Nil
@@ -670,11 +678,11 @@ func (f *flow) setBase() {
 // wirelength (weighted sum of tapping and signal WL); the ILP formulation
 // optimizes frequency, so its iterations are judged by the
 // wirelength-capacitance product instead (Table VII's metric).
-func (f *flow) cost(m Metrics) float64 {
-	if f.cfg.Assigner == ILP {
+func cost(cfg Config, m Metrics) float64 {
+	if cfg.Assigner == ILP {
 		return m.WCP
 	}
-	return f.cfg.TapWeight*m.TapWL + m.SignalWL
+	return tapWeight*m.TapWL + m.SignalWL
 }
 
 // iterate is one pass of the re-optimization loop (stages 6, 4, 3, 5): move
@@ -741,7 +749,7 @@ func (f *flow) refreshSlack(*obs.Span) *StageError {
 	m, sched, err := skew.MaxSlackExactStop(f.cfg.Stop, f.n, pairs, f.cfg.Params.Period, f.cfg.TModel.TSetup, f.cfg.TModel.THold)
 	switch {
 	case err == nil:
-		f.mWork, f.msSched = workSlack(f.cfg.SlackFrac, m), sched
+		f.mWork, f.msSched = skew.WorkSlack(m), sched
 	case stop.IsStop(err) || f.cfg.Strict:
 		// A fired token is not a property of this placement; the loop stops
 		// on the snapshot rather than optimizing against stale margins.
@@ -752,13 +760,38 @@ func (f *flow) refreshSlack(*obs.Span) *StageError {
 	return nil
 }
 
-// costSkew is stage 4: the cost-driven schedule for the current assignment.
+// costSkew is stage 4: the cost-driven schedule for the current assignment,
+// under the slack-relaxation ladder (skew.Margins): the full working slack,
+// half of it, then none; if even the zero-margin system is infeasible it
+// falls back to the fresh max-slack schedule (feasible by construction).
+// The working slack becomes the margin the schedule is feasible at. Strict
+// mode and non-infeasibility errors skip the ladder entirely.
 func (f *flow) costSkew(*obs.Span) *StageError {
-	sched, mWork, err := f.costDrivenRecover()
-	if err != nil {
+	T := f.cfg.Params.Period
+	ladder := skew.Margins(f.mWork)
+	var err error
+	for li, m := range ladder {
+		cons := skew.Constraints(f.pairs, T, m, f.cfg.TModel.TSetup, f.cfg.TModel.THold)
+		var t []float64
+		if t, err = f.costDriven(cons); err == nil {
+			f.sched, f.mWork = t, m
+			return nil
+		}
+		if f.cfg.Strict || !errors.Is(err, skew.ErrInfeasible) {
+			return f.fail(4, fmt.Errorf("cost-driven skew: %w", err))
+		}
+		if li+1 < len(ladder) {
+			f.res.event(4, f.iter, Infeasible,
+				fmt.Sprintf("relaxing working slack to %.4g ps", ladder[li+1]), err)
+			f.reg.Add("core.recover.skew", 1)
+		}
+	}
+	if f.msSched == nil {
 		return f.fail(4, fmt.Errorf("cost-driven skew: %w", err))
 	}
-	f.sched, f.mWork = sched, mWork
+	f.res.event(4, f.iter, Infeasible, "falling back to the max-slack schedule", err)
+	f.reg.Add("core.recover.skew", 1)
+	f.sched = f.msSched
 	return nil
 }
 
@@ -771,151 +804,30 @@ func (f *flow) evaluate(sp *obs.Span) *StageError {
 	m := measure(f.c, f.cfg, f.asg, f.n)
 	f.res.PerIter = append(f.res.PerIter, m)
 	f.res.Iterations = f.iter
-	cost := f.cost(m)
-	if cost < f.bestCost {
-		f.bestCost = cost
+	now := cost(f.cfg, m)
+	if now < f.bestCost {
+		f.bestCost = now
 		f.best = snapshot{pos: f.c.Positions(), sched: f.sched, asg: f.asg, m: m, mWork: f.mWork}
 	}
-	if f.prevCost-cost < f.cfg.ConvergeTol*f.prevCost {
+	if f.prevCost-now < convergeTol*f.prevCost {
 		f.stall++
 		f.converged = f.stall >= 2
 	} else {
 		f.stall = 0
 	}
-	f.prevCost = cost
-	sp.Set(obs.F("cost", cost))
+	f.prevCost = now
+	sp.Set(obs.F("cost", now))
 	return nil
 }
 
-// seqPairs runs STA and maps cell IDs to flip-flop indices.
+// seqPairs extracts the sequential pairs of the current placement
+// (skew.SeqPairs), naming the failing stage in the error.
 func seqPairs(c *netlist.Circuit, m timing.Model, ffIdx map[int]int) ([]skew.SeqPair, error) {
-	sta, err := timing.Analyze(c, m)
+	pairs, err := skew.SeqPairs(c, m, ffIdx)
 	if err != nil {
 		return nil, fmt.Errorf("core: timing analysis: %w", err)
 	}
-	pairs := make([]skew.SeqPair, len(sta.Pairs))
-	for i, p := range sta.Pairs {
-		pairs[i] = skew.SeqPair{U: ffIdx[p.From], V: ffIdx[p.To], DMax: p.DMax, DMin: p.DMin}
-	}
 	return pairs, nil
-}
-
-// runAssign builds and solves one stage-3 assignment instance with explicit
-// relaxation knobs (k candidate rings, per-ring capacity, tapping fallback).
-// A nil capacity uses assign's default.
-func (f *flow) runAssign(k int, capacity []int, fallback bool) (*assign.Assignment, error) {
-	ffs := make([]assign.FF, f.n)
-	for i, id := range f.res.FFCells {
-		ffs[i] = assign.FF{Cell: id, Pos: f.c.Cells[id].Pos, Target: f.sched[i]}
-	}
-	p := &assign.Problem{
-		Array:       f.res.Array,
-		FFs:         ffs,
-		K:           k,
-		Capacity:    capacity,
-		Parallelism: f.cfg.Parallelism,
-		Cache:       f.tap,
-		TapFallback: fallback,
-		Obs:         f.reg,
-		Stop:        f.cfg.Stop,
-	}
-	if f.cfg.Assigner == ILP {
-		a, _, err := assign.MinMaxCap(p)
-		return a, err
-	}
-	return assign.MinCost(p)
-}
-
-// assignRecover runs stage 3 under the infeasibility-recovery ladder: the
-// configured instance first, then progressively wider candidate sets and
-// relaxed ring capacities, and as a last resort the nearest-point tapping
-// fallback (recorded, since fallback taps do not realize the skew targets).
-// Strict mode and non-infeasibility errors skip the ladder entirely.
-func (f *flow) assignRecover() (*assign.Assignment, error) {
-	numRings := len(f.res.Array.Rings)
-	k2 := f.cfg.K * 2
-	if k2 > numRings {
-		k2 = numRings
-	}
-	// Base uniform capacity, matching assign's default headroom of 1.25x.
-	baseCap := float64((f.n*5/4)/numRings + 1)
-	uniform := func(scale float64) []int {
-		cap := make([]int, numRings)
-		for j := range cap {
-			cap[j] = int(math.Ceil(baseCap * scale))
-		}
-		return cap
-	}
-	steps := []struct {
-		k        int
-		capacity []int
-		fallback bool
-		action   string
-	}{
-		{k: f.cfg.K},
-		{k: k2, capacity: uniform(1.5),
-			action: fmt.Sprintf("relaxing assignment: K widened to %d, ring capacity x1.5", k2)},
-		{k: numRings, capacity: uniform(2.25),
-			action: fmt.Sprintf("relaxing assignment: all %d rings candidate, ring capacity x2.25", numRings)},
-		{k: numRings, capacity: uniform(2.25), fallback: true,
-			action: "enabling nearest-point tapping fallback (taps may miss skew targets)"},
-	}
-	var err error
-	for si, st := range steps {
-		if si > 0 {
-			f.res.event(3, f.iter, Infeasible, st.action, err)
-			f.reg.Add("core.recover.assign", 1)
-		}
-		var a *assign.Assignment
-		a, err = f.runAssign(st.k, st.capacity, st.fallback)
-		if err == nil {
-			if len(a.Fallbacks) > 0 {
-				f.res.event(3, f.iter, Infeasible,
-					fmt.Sprintf("%d flip-flop(s) tapped via nearest-point fallback", len(a.Fallbacks)), nil)
-			}
-			return a, nil
-		}
-		if f.cfg.Strict || !errors.Is(err, assign.ErrInfeasible) {
-			return nil, err
-		}
-	}
-	return nil, err
-}
-
-// costDrivenRecover runs stage 4 under the slack-relaxation ladder: the full
-// working slack, half of it, then none; if even the zero-margin system is
-// infeasible it falls back to the fresh max-slack schedule (feasible by
-// construction). It returns the schedule and the margin it is feasible at.
-// Strict mode and non-infeasibility errors skip the ladder entirely.
-func (f *flow) costDrivenRecover() ([]float64, float64, error) {
-	T := f.cfg.Params.Period
-	ladder := []float64{f.mWork}
-	if f.mWork > 0 {
-		ladder = append(ladder, f.mWork/2, 0)
-	}
-	var err error
-	for li, m := range ladder {
-		cons := skew.Constraints(f.pairs, T, m, f.cfg.TModel.TSetup, f.cfg.TModel.THold)
-		var t []float64
-		t, err = f.costDriven(cons)
-		if err == nil {
-			return t, m, nil
-		}
-		if f.cfg.Strict || !errors.Is(err, skew.ErrInfeasible) {
-			return nil, f.mWork, err
-		}
-		if li+1 < len(ladder) {
-			f.res.event(4, f.iter, Infeasible,
-				fmt.Sprintf("relaxing working slack to %.4g ps", ladder[li+1]), err)
-			f.reg.Add("core.recover.skew", 1)
-		}
-	}
-	if f.msSched != nil {
-		f.res.event(4, f.iter, Infeasible, "falling back to the max-slack schedule", err)
-		f.reg.Add("core.recover.skew", 1)
-		return f.msSched, f.mWork, nil
-	}
-	return nil, f.mWork, err
 }
 
 // costDriven runs the stage-4 skew optimization: anchors are the phases at
@@ -964,15 +876,4 @@ func measure(c *netlist.Circuit, cfg Config, asg *assign.Assignment, numFF int) 
 	m.LeakPower = cfg.PowerPar.Leakage(st.Cells-st.FlipFlops, st.FlipFlops)
 	m.WCP = m.TotalWL * m.MaxCap / 1000 // um * pF
 	return m
-}
-
-// workSlack reserves a fraction of the max slack as timing margin during
-// the cost-driven stage. A negative max slack (a design that cannot close
-// timing at this period) leaves no margin to reserve: taking a fraction
-// would tighten the constraints past feasibility, so the full slack is used.
-func workSlack(frac, m float64) float64 {
-	if m <= 0 {
-		return m
-	}
-	return frac * m
 }

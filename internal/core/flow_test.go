@@ -64,7 +64,7 @@ func TestRunScheduleMeetsConstraints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The final schedule must satisfy the timing constraints at the working
-	// slack (SlackFrac * MaxSlack) on the final placement.
+	// slack (skew.WorkSlack of MaxSlack) on the final placement.
 	ffIdx := map[int]int{}
 	for i, id := range res.FFCells {
 		ffIdx[id] = i

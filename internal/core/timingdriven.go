@@ -15,9 +15,10 @@ import (
 // reweight updates the per-net criticality scales for one loop iteration,
 // ranking the lowest-slack sequential pairs under the current schedule so
 // the stage-6 re-place pulls their nets shorter: decay every scale toward 1
-// (exponential history), extract the cfg.TimingPaths lowest-slack pairs, and
-// boost the nets on their D_max paths by TimingBoost tapered linearly with
-// rank, capped at TimingMaxW. A failed extraction (combinational cycle —
+// (exponential history, so weights on paths that leave the critical set
+// relax instead of oscillating), extract the timingPaths lowest-slack pairs,
+// and boost the nets on their D_max paths by TimingBoost tapered linearly
+// with rank, capped at timingMaxW. A failed extraction (combinational cycle —
 // possible only if the circuit changed under us) is recorded as a stage-6
 // event and leaves the scales at their previous values; it never fails the
 // run.
@@ -27,13 +28,13 @@ func (f *flow) reweight(*obs.Span) *StageError {
 		x := f.sched[f.ffIdx[p.From]] - f.sched[f.ffIdx[p.To]]
 		return cfg.TModel.SlackUnder(p, x, cfg.Params.Period)
 	}
-	paths, err := timing.ExtractCritical(f.c, cfg.TModel, slackOf, cfg.TimingPaths)
+	paths, err := timing.ExtractCritical(f.c, cfg.TModel, slackOf, timingPaths)
 	if err != nil {
 		f.res.event(6, f.iter, Classify(err), "critical-path extraction failed; keeping previous net weights", err)
 		return nil
 	}
 	for i := range scale {
-		scale[i] = 1 + cfg.TimingDecay*(scale[i]-1)
+		scale[i] = 1 + timingDecay*(scale[i]-1)
 	}
 	boost := cfg.TimingBoost
 	if boost < 0 {
@@ -45,8 +46,8 @@ func (f *flow) reweight(*obs.Span) *StageError {
 		crit := float64(k-j) / float64(k)
 		for _, ni := range p.Nets {
 			s := scale[ni] + boost*crit
-			if s > cfg.TimingMaxW {
-				s = cfg.TimingMaxW
+			if s > timingMaxW {
+				s = timingMaxW
 			}
 			scale[ni] = s
 			boosts++

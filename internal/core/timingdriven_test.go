@@ -142,21 +142,12 @@ func TestWorstSlackSchedulePanicGuard(t *testing.T) {
 	}
 }
 
-// TestTimingConfigDefaults locks the normalized timing-driven knobs.
+// TestTimingConfigDefaults locks the normalized timing-driven knob.
 func TestTimingConfigDefaults(t *testing.T) {
 	var cfg Config
 	cfg.normalize()
-	if cfg.TimingPaths != 8 {
-		t.Errorf("TimingPaths default = %d, want 8", cfg.TimingPaths)
-	}
 	if cfg.TimingBoost != 1.0 {
 		t.Errorf("TimingBoost default = %v, want 1.0", cfg.TimingBoost)
-	}
-	if cfg.TimingDecay != 0.3 {
-		t.Errorf("TimingDecay default = %v, want 0.3", cfg.TimingDecay)
-	}
-	if cfg.TimingMaxW != 4 {
-		t.Errorf("TimingMaxW default = %v, want 4", cfg.TimingMaxW)
 	}
 	neg := Config{TimingBoost: -1}
 	neg.normalize()

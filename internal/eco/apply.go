@@ -9,11 +9,11 @@ import (
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
+	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
 	"rotaryclk/internal/placer"
 	"rotaryclk/internal/skew"
 	"rotaryclk/internal/stop"
-	"rotaryclk/internal/timing"
 )
 
 // Apply absorbs a batch of deltas into the state with bounded recompute:
@@ -33,59 +33,136 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	span := reg.StartSpan("eco.apply", obs.I("deltas", len(deltas)), obs.S("mode", mode(opt)))
 	defer span.End()
 
-	c := st.Circuit
-	tok := opt.Stop
-	out := &Outcome{}
-
-	prevPos := c.Positions()
-	pinned := clonePinned(st.Pinned)
-	if pinned == nil {
-		pinned = map[int]int{}
+	r := &applyRun{
+		st: st, opt: opt, reg: reg, c: st.Circuit, out: &Outcome{},
+		prevPos:    st.Circuit.Positions(),
+		pinned:     clonePinned(st.Pinned),
+		sys:        st.Sys,
+		dirtyCells: map[int]bool{},
+		dirtyFFs:   map[int]bool{},
 	}
-	var undos []func()
-	rollback := func() {
-		for i := len(undos) - 1; i >= 0; i-- {
-			undos[i]()
-		}
-		if err := c.SetPositions(prevPos); err != nil {
-			// The snapshot came from this circuit; a mismatch is impossible
-			// unless a delta resized it, which no delta does.
-			panic(fmt.Sprintf("eco: rollback: %v", err))
-		}
+	if r.pinned == nil {
+		r.pinned = map[int]int{}
 	}
-	// fail finishes a failed solver phase: roll back, then either raise
-	// (strict) or report the restored state as Degraded (non-strict).
-	fail := func(phase string, err error) (*Outcome, error) {
-		rollback()
-		if opt.Strict {
-			return nil, fmt.Errorf("eco: %s: %w", phase, err)
-		}
-		out.Events = append(out.Events, fmt.Sprintf("%s failed; rolled back to pre-edit state: %v", phase, err))
-		out.Degraded = true
-		reg.Add("eco.degraded", 1)
-		out.FFCells = append([]int(nil), st.FFCells...)
-		out.Sched = append([]float64(nil), st.Sched...)
-		out.Assign = st.Assign
-		if st.Assign != nil {
-			out.Total = st.Assign.Total
-		}
-		out.WorkSlack = st.WorkSlack
-		return out, nil
+	phases := []struct {
+		span, name string
+		gate       bool // check the stop token once the phase is done
+		run        func() error
+	}{
+		{"eco.netlist", "netlist edits", true, func() error { return r.edit(deltas) }},
+		{"eco.place", "dirty-region placement", true, r.place},
+		{"eco.sched", "schedule re-check", true, r.schedule},
+		{"eco.assign", "assignment patch", false, r.assign},
 	}
-
-	// Phase 1: netlist edits + system patching. Net edits patch the system
-	// immediately so each patch sees only the edits before it (the patched
-	// CSR must stay consistent with the circuit it was derived from).
-	nlSp := span.Child("eco.netlist")
-	sys := st.Sys
-	needRebuild := opt.Scratch
-	dirtyCellSet := map[int]bool{}
-	dirtyFFSet := map[int]bool{}
-	for i, d := range deltas {
-		ap, err := applyDelta(st, pinned, i, d)
+	for _, ph := range phases {
+		sp := span.Child(ph.span)
+		err := ph.run()
+		sp.End()
+		if err == nil && ph.gate {
+			if serr := stop.Check(opt.Stop, faultinject.SiteEcoApplyCancel); serr != nil {
+				err = &failure{ph.name, serr}
+			}
+		}
 		if err != nil {
-			rollback()
-			return nil, err
+			return r.exit(err)
+		}
+	}
+	return r.commit(), nil
+}
+
+// applyRun is the state of one Apply: its inputs, the outcome being filled,
+// the undo log, and what each phase hands the next.
+type applyRun struct {
+	st  *State
+	opt Options
+	reg *obs.Registry
+	c   *netlist.Circuit
+	out *Outcome
+
+	prevPos []geom.Point
+	undos   []func()
+	pinned  map[int]int
+
+	sys        *placer.System
+	dirtyCells map[int]bool // movable cells to re-place
+	dirtyFFs   map[int]bool // edited flip-flops (cell IDs) to re-route
+
+	ffCells     []int
+	oldSched    map[int]float64 // cell ID -> pre-edit delay target
+	sched       []float64
+	allFFsDirty bool // the schedule was re-solved from scratch
+	cache       *assign.TapCache
+	asg         *assign.Assignment
+}
+
+// failure is a solver failure in the named phase. Unlike an input error it
+// degrades instead of raising when the apply is not strict.
+type failure struct {
+	phase string
+	err   error
+}
+
+func (f *failure) Error() string { return fmt.Sprintf("%s: %v", f.phase, f.err) }
+
+// errNoOps ends an apply whose every delta was a no-op: nothing re-solves.
+var errNoOps = errors.New("eco: every delta is a no-op")
+
+// exit is the one way out of a failed or empty apply. Every failure rolls
+// back; an input error then raises in both modes, a solver failure raises
+// when strict and otherwise degrades to the restored state.
+func (r *applyRun) exit(err error) (*Outcome, error) {
+	if errors.Is(err, errNoOps) {
+		return r.echo(), nil
+	}
+	r.rollback()
+	var f *failure
+	if !errors.As(err, &f) {
+		return nil, err
+	}
+	if r.opt.Strict {
+		return nil, fmt.Errorf("eco: %s: %w", f.phase, f.err)
+	}
+	r.out.Events = append(r.out.Events, fmt.Sprintf("%s failed; rolled back to pre-edit state: %v", f.phase, f.err))
+	r.out.Degraded = true
+	r.reg.Add("eco.degraded", 1)
+	return r.echo(), nil
+}
+
+// rollback undoes the applied deltas in reverse and restores the placement.
+func (r *applyRun) rollback() {
+	for i := len(r.undos) - 1; i >= 0; i-- {
+		r.undos[i]()
+	}
+	if err := r.c.SetPositions(r.prevPos); err != nil {
+		// The snapshot came from this circuit; a mismatch is impossible
+		// unless a delta resized it, which no delta does.
+		panic(fmt.Sprintf("eco: rollback: %v", err))
+	}
+}
+
+// echo fills the outcome with the unchanged (or restored) state.
+func (r *applyRun) echo() *Outcome {
+	st, out := r.st, r.out
+	out.FFCells = append([]int(nil), st.FFCells...)
+	out.Sched = append([]float64(nil), st.Sched...)
+	out.Assign = st.Assign
+	if st.Assign != nil {
+		out.Total = st.Assign.Total
+	}
+	out.WorkSlack = st.WorkSlack
+	return out
+}
+
+// edit is phase 1: netlist edits + system patching. Net edits patch the
+// system immediately so each patch sees only the edits before it (the
+// patched CSR must stay consistent with the circuit it was derived from).
+func (r *applyRun) edit(deltas []Delta) error {
+	out, reg := r.out, r.reg
+	needRebuild := r.opt.Scratch
+	for i, d := range deltas {
+		ap, err := applyDelta(r.st, r.pinned, i, d)
+		if err != nil {
+			return err
 		}
 		if ap.noop {
 			out.NoOps++
@@ -93,176 +170,140 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 			continue
 		}
 		if ap.undo != nil {
-			undos = append(undos, ap.undo)
+			r.undos = append(r.undos, ap.undo)
 		}
 		out.Deltas++
 		reg.Add("eco.deltas", 1)
 		for _, id := range ap.dirtyCells {
-			dirtyCellSet[id] = true
+			r.dirtyCells[id] = true
 		}
 		if ap.dirtyFF >= 0 {
-			dirtyFFSet[ap.dirtyFF] = true
+			r.dirtyFFs[ap.dirtyFF] = true
 		}
 		if ap.editedNet >= 0 && !needRebuild {
-			ns, ok, perr := sys.PatchNet(ap.editedNet, ap.oldPins)
-			if perr != nil {
-				rollback()
-				return nil, fmt.Errorf("eco: system patch: %w", perr)
+			ns, ok, err := r.sys.PatchNet(ap.editedNet, ap.oldPins)
+			if err != nil {
+				return fmt.Errorf("eco: system patch: %w", err)
 			}
 			if !ok {
 				needRebuild = true
 			} else {
-				sys = ns
+				r.sys = ns
 				out.SystemPatched++
 				reg.Add("eco.system.patches", 1)
 			}
 		}
 	}
-	nlSp.End()
 	if out.Deltas == 0 {
-		// Every delta was a no-op: nothing re-solves, nothing is dirty, and
-		// the outcome echoes the unchanged state.
-		out.FFCells = append([]int(nil), st.FFCells...)
-		out.Sched = append([]float64(nil), st.Sched...)
-		out.Assign = st.Assign
-		if st.Assign != nil {
-			out.Total = st.Assign.Total
-		}
-		out.WorkSlack = st.WorkSlack
-		return out, nil
+		return errNoOps
 	}
 	if needRebuild {
-		ns, err := placer.NewSystem(c, reg)
+		ns, err := placer.NewSystem(r.c, reg)
 		if err != nil {
-			rollback()
-			return nil, fmt.Errorf("eco: system rebuild: %w", err)
+			return fmt.Errorf("eco: system rebuild: %w", err)
 		}
-		sys = ns
+		r.sys = ns
 		out.SystemRebuilt = true
 		reg.Add("eco.system.rebuilds", 1)
 	}
-	if err := stop.Check(tok, faultinject.SiteEcoApplyCancel); err != nil {
-		return fail("netlist edits", err)
-	}
+	return nil
+}
 
-	// Phase 2: dirty-region incremental placement. The edited flip-flops
-	// hold their (user-chosen) positions; their movable neighbors re-settle
-	// against the rest of the placement as a boundary condition.
-	plSp := span.Child("eco.place")
-	dirtyCells := make([]int, 0, len(dirtyCellSet))
-	for id := range dirtyCellSet {
-		dirtyCells = append(dirtyCells, id)
+// place is phase 2: dirty-region incremental placement. The edited
+// flip-flops hold their (user-chosen) positions; their movable neighbors
+// re-settle against the rest of the placement as a boundary condition.
+func (r *applyRun) place() error {
+	dirty := make([]int, 0, len(r.dirtyCells))
+	for id := range r.dirtyCells {
+		dirty = append(dirty, id)
 	}
-	sort.Ints(dirtyCells)
-	if len(dirtyCells) > 0 {
-		moved, err := sys.SolveDirty(dirtyCells, 0, tok)
+	sort.Ints(dirty)
+	if len(dirty) > 0 {
+		moved, err := r.sys.SolveDirty(dirty, 0, r.opt.Stop)
 		if err != nil {
-			plSp.End()
-			return fail("dirty-region placement", err)
+			return &failure{"dirty-region placement", err}
 		}
-		out.MovedCells = moved
+		r.out.MovedCells = moved
 	}
-	out.DirtyCells = len(dirtyCells)
-	reg.Add("eco.dirty.cells", int64(len(dirtyCells)))
-	plSp.End()
-	if err := stop.Check(tok, faultinject.SiteEcoApplyCancel); err != nil {
-		return fail("dirty-region placement", err)
-	}
+	r.out.DirtyCells = len(dirty)
+	r.reg.Add("eco.dirty.cells", int64(len(dirty)))
+	return nil
+}
 
-	// Phase 3: warm-started schedule re-check. Any moved cell changes wire
-	// delays somewhere, so the sequential-pair extraction re-runs in full;
-	// the schedule repair, seeded from the previous schedule, is the
-	// bounded part — one O(m) verification round when nothing regressed.
-	schedSp := span.Child("eco.sched")
-	ffCells := c.FlipFlops()
-	n := len(ffCells)
+// schedule is phase 3: warm-started schedule re-check. Any moved cell
+// changes wire delays somewhere, so the sequential-pair extraction re-runs
+// in full; the schedule repair, seeded from the previous schedule, is the
+// bounded part — one O(m) verification round when nothing regressed. The
+// margins tried are the flow's ladder (skew.Margins) from the committed
+// working slack.
+func (r *applyRun) schedule() error {
+	st, c, tok := r.st, r.c, r.opt.Stop
+	r.ffCells = c.FlipFlops()
+	n := len(r.ffCells)
 	if n == 0 {
-		rollback()
-		return nil, errors.New("eco: no flip-flops to optimize")
+		return errors.New("eco: no flip-flops to optimize")
 	}
 	ffIdx := make(map[int]int, n)
-	for i, id := range ffCells {
+	for i, id := range r.ffCells {
 		ffIdx[id] = i
 	}
-	sta, err := timing.Analyze(c, st.TModel)
+	pairs, err := skew.SeqPairs(c, st.TModel, ffIdx)
 	if err != nil {
-		schedSp.End()
-		return fail("timing analysis", err)
+		return &failure{"timing analysis", err}
 	}
-	pairs := make([]skew.SeqPair, len(sta.Pairs))
-	for i, p := range sta.Pairs {
-		pairs[i] = skew.SeqPair{U: ffIdx[p.From], V: ffIdx[p.To], DMax: p.DMax, DMin: p.DMin}
-	}
-	oldSched := make(map[int]float64, len(st.FFCells))
+	r.oldSched = make(map[int]float64, len(st.FFCells))
 	for i, id := range st.FFCells {
 		if i < len(st.Sched) {
-			oldSched[id] = st.Sched[i]
+			r.oldSched[id] = st.Sched[i]
 		}
 	}
 	seed := make([]float64, n)
-	for i, id := range ffCells {
-		if s, ok := oldSched[id]; ok {
+	for i, id := range r.ffCells {
+		if s, ok := r.oldSched[id]; ok {
 			seed[i] = s
 		} else {
 			seed[i] = ringPhaseSeed(st, c.Cells[id].Pos)
 		}
 	}
 	T := st.Params.Period
-	ladder := []float64{st.WorkSlack}
-	if st.WorkSlack > 0 {
-		ladder = append(ladder, st.WorkSlack/2, 0)
-	}
-	var sched []float64
-	margin, schedOK, allFFsDirty := 0.0, false, false
+	ladder := skew.Margins(st.WorkSlack)
 	for li, m := range ladder {
 		cons := skew.Constraints(pairs, T, m, st.TModel.TSetup, st.TModel.THold)
-		t, rounds, feasible, werr := skew.WarmStart(tok, n, cons, seed)
-		if werr != nil {
-			schedSp.End()
-			return fail("schedule re-check", werr)
+		t, rounds, feasible, err := skew.WarmStart(tok, n, cons, seed)
+		if err != nil {
+			return &failure{"schedule re-check", err}
 		}
-		out.SchedRounds = rounds
+		r.out.SchedRounds = rounds
 		if feasible {
-			sched, margin, schedOK = t, m, true
-			break
+			r.sched, r.out.WorkSlack = t, m
+			return nil
 		}
 		if li+1 < len(ladder) {
-			out.Events = append(out.Events, fmt.Sprintf("schedule re-check infeasible at %.4g ps margin; relaxing to %.4g", m, ladder[li+1]))
-			reg.Add("eco.recover.sched", 1)
+			r.out.Events = append(r.out.Events, fmt.Sprintf("schedule re-check infeasible at %.4g ps margin; relaxing to %.4g", m, ladder[li+1]))
+			r.reg.Add("eco.recover.sched", 1)
 		}
 	}
-	if !schedOK {
-		// Even the zero-margin warm start failed: the edit moved timing past
-		// the old schedule's neighborhood. Fall back to a fresh max-slack
-		// solve (feasible whenever any schedule is) and re-route everything.
-		M, ms, merr := skew.MaxSlackExactStop(tok, n, pairs, T, st.TModel.TSetup, st.TModel.THold)
-		if merr != nil {
-			schedSp.End()
-			return fail("schedule re-check", merr)
-		}
-		frac := st.SlackFrac
-		if frac <= 0 || frac > 1 {
-			frac = 0.5
-		}
-		margin = M
-		if M > 0 {
-			margin = frac * M
-		}
-		sched = ms
-		allFFsDirty = true
-		out.Events = append(out.Events, "warm start infeasible at every margin; fell back to a fresh max-slack schedule")
-		reg.Add("eco.recover.sched", 1)
+	// Even the zero-margin warm start failed: the edit moved timing past the
+	// old schedule's neighborhood. Fall back to a fresh max-slack solve
+	// (feasible whenever any schedule is) and re-route everything.
+	M, ms, err := skew.MaxSlackExactStop(tok, n, pairs, T, st.TModel.TSetup, st.TModel.THold)
+	if err != nil {
+		return &failure{"schedule re-check", err}
 	}
-	out.WorkSlack = margin
-	schedSp.End()
-	if err := stop.Check(tok, faultinject.SiteEcoApplyCancel); err != nil {
-		return fail("schedule re-check", err)
-	}
+	r.sched, r.out.WorkSlack, r.allFFsDirty = ms, skew.WorkSlack(M), true
+	r.out.Events = append(r.out.Events, "warm start infeasible at every margin; fell back to a fresh max-slack schedule")
+	r.reg.Add("eco.recover.sched", 1)
+	return nil
+}
 
-	// Phase 4: assignment patch. Dirty flip-flops are the edited ones plus
-	// any whose schedule entry the repair moved (bit-compare against the
-	// old schedule); everything else preloads its previous ring.
-	asgSp := span.Child("eco.assign")
+// assign is phase 4: assignment patch. Dirty flip-flops are the edited ones
+// plus any whose schedule entry the repair moved (bit-compare against the
+// old schedule); everything else preloads its previous ring. An infeasible
+// patch walks the flow's relaxation ladder (assign.Recover); relaxed rungs
+// solve cold, since the previous assignment is not a feasible warm start
+// for an instance the patch already rejected.
+func (r *applyRun) assign() error {
+	st, c, n := r.st, r.c, len(r.ffCells)
 	prevRingByCell := make(map[int]int, len(st.FFCells))
 	for i, id := range st.FFCells {
 		if i < len(st.Ring) {
@@ -271,125 +312,87 @@ func Apply(st *State, deltas []Delta, opt Options) (*Outcome, error) {
 	}
 	prev := make([]int, n)
 	var dirtyIdx []int
-	for i, id := range ffCells {
-		r, ok := prevRingByCell[id]
+	for i, id := range r.ffCells {
+		ring, ok := prevRingByCell[id]
 		if !ok {
-			r = -1
+			ring = -1
 		}
-		prev[i] = r
-		old, had := oldSched[id]
-		schedChanged := !had || math.Float64bits(old) != math.Float64bits(sched[i])
-		if allFFsDirty || dirtyFFSet[id] || schedChanged {
+		prev[i] = ring
+		old, had := r.oldSched[id]
+		schedChanged := !had || math.Float64bits(old) != math.Float64bits(r.sched[i])
+		if r.allFFsDirty || r.dirtyFFs[id] || schedChanged {
 			dirtyIdx = append(dirtyIdx, i)
 		}
 	}
-	out.DirtyFFs = len(dirtyIdx)
-	reg.Add("eco.dirty.ffs", int64(len(dirtyIdx)))
+	r.out.DirtyFFs = len(dirtyIdx)
+	r.reg.Add("eco.dirty.ffs", int64(len(dirtyIdx)))
 
-	cache := st.Cache
-	if opt.Scratch || cache == nil {
-		cache = assign.NewTapCache()
+	r.cache = st.Cache
+	if r.opt.Scratch || r.cache == nil {
+		r.cache = assign.NewTapCache()
 	}
 	var pin []int
-	if len(pinned) > 0 {
+	if len(r.pinned) > 0 {
 		pin = make([]int, n)
-		for i := range pin {
+		for i, id := range r.ffCells {
 			pin[i] = -1
-		}
-		for i, id := range ffCells {
-			if r, ok := pinned[id]; ok {
-				pin[i] = r
+			if ring, ok := r.pinned[id]; ok {
+				pin[i] = ring
 			}
 		}
 	}
-	mkProblem := func(k int, capacity []int, fallback bool) *assign.Problem {
-		ffs := make([]assign.FF, n)
-		for i, id := range ffCells {
-			ffs[i] = assign.FF{Cell: id, Pos: c.Cells[id].Pos, Target: sched[i]}
-		}
-		return &assign.Problem{
-			Array:       st.Array,
-			FFs:         ffs,
-			K:           k,
-			Capacity:    capacity,
-			Pin:         pin,
-			Parallelism: st.Parallelism,
-			Cache:       cache,
-			TapFallback: fallback,
-			Obs:         reg,
-			Stop:        tok,
+	ffs := make([]assign.FF, n)
+	for i, id := range r.ffCells {
+		ffs[i] = assign.FF{Cell: id, Pos: c.Cells[id].Pos, Target: r.sched[i]}
+	}
+	p := &assign.Problem{
+		Array:       st.Array,
+		FFs:         ffs,
+		Pin:         pin,
+		Parallelism: st.Parallelism,
+		Cache:       r.cache,
+		Obs:         r.reg,
+		Stop:        r.opt.Stop,
+	}
+	var first assign.Solver = assign.MinCost
+	if !r.opt.Scratch {
+		first = func(p *assign.Problem) (*assign.Assignment, error) {
+			return assign.PatchMinCost(p, prev, dirtyIdx)
 		}
 	}
-	k := st.K
-	if k <= 0 {
-		k = 6
-	}
-	var asg *assign.Assignment
-	if opt.Scratch {
-		asg, err = assign.MinCost(mkProblem(k, st.Capacity, false))
-	} else {
-		asg, err = assign.PatchMinCost(mkProblem(k, st.Capacity, false), prev, dirtyIdx)
-	}
-	if err != nil && errors.Is(err, assign.ErrInfeasible) && !opt.Strict {
-		// The same relaxation ladder the flow's stage 3 uses: wider
-		// candidate sets, looser capacities, and last the nearest-point
-		// fallback. Relaxed steps solve cold — the previous assignment is
-		// not a feasible warm start for an instance the patch already
-		// rejected.
-		numRings := len(st.Array.Rings)
-		k2 := k * 2
-		if k2 > numRings {
-			k2 = numRings
-		}
-		baseCap := float64((n*5/4)/numRings + 1)
-		uniform := func(scale float64) []int {
-			caps := make([]int, numRings)
-			for j := range caps {
-				caps[j] = int(math.Ceil(baseCap * scale))
-			}
-			return caps
-		}
-		steps := []struct {
-			k        int
-			capacity []int
-			fallback bool
-			action   string
-		}{
-			{k: k2, capacity: uniform(1.5), action: fmt.Sprintf("relaxing assignment: K widened to %d, ring capacity x1.5", k2)},
-			{k: numRings, capacity: uniform(2.25), action: fmt.Sprintf("relaxing assignment: all %d rings candidate, ring capacity x2.25", numRings)},
-			{k: numRings, capacity: uniform(2.25), fallback: true, action: "enabling nearest-point tapping fallback (taps may miss skew targets)"},
-		}
-		for _, stp := range steps {
-			out.Events = append(out.Events, stp.action)
-			reg.Add("eco.recover.assign", 1)
-			asg, err = assign.MinCost(mkProblem(stp.k, stp.capacity, stp.fallback))
-			if err == nil || !errors.Is(err, assign.ErrInfeasible) {
-				break
-			}
+	var relaxed func(action string, err error)
+	if !r.opt.Strict {
+		relaxed = func(action string, _ error) {
+			r.out.Events = append(r.out.Events, action)
+			r.reg.Add("eco.recover.assign", 1)
 		}
 	}
+	asg, err := assign.Recover(p, first, assign.MinCost, relaxed)
 	if err != nil {
-		asgSp.End()
-		return fail("assignment patch", err)
+		return &failure{"assignment patch", err}
 	}
-	asgSp.End()
+	r.asg = asg
+	return nil
+}
 
-	// Commit.
-	st.Sys = sys
-	st.FFCells = ffCells
-	st.Sched = sched
+// commit installs the new optimum in the state and reports it.
+func (r *applyRun) commit() *Outcome {
+	st, out, asg := r.st, r.out, r.asg
+	st.Sys = r.sys
+	st.FFCells = r.ffCells
+	st.Sched = r.sched
 	st.Ring = append([]int(nil), asg.Ring...)
 	st.Assign = asg
-	st.WorkSlack = margin
-	st.Pinned = pinned
-	if st.Cache == nil && !opt.Scratch {
-		st.Cache = cache
+	st.WorkSlack = out.WorkSlack
+	st.Pinned = r.pinned
+	if st.Cache == nil && !r.opt.Scratch {
+		st.Cache = r.cache
 	}
-	out.FFCells = append([]int(nil), ffCells...)
-	out.Sched = append([]float64(nil), sched...)
+	out.FFCells = append([]int(nil), r.ffCells...)
+	out.Sched = append([]float64(nil), r.sched...)
 	out.Assign = asg
 	out.Total = asg.Total
-	return out, nil
+	return out
 }
 
 func mode(opt Options) string {

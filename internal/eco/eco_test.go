@@ -1,13 +1,16 @@
 package eco_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"rotaryclk/internal/assign"
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
+	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
 	"rotaryclk/internal/obs"
@@ -280,7 +283,10 @@ func TestApplyAddFFCommits(t *testing.T) {
 func TestApplyStrictRollbackOnFailure(t *testing.T) {
 	c, ids := chainCircuit(t)
 	st, _ := baseState(t, c)
-	st.Capacity = make([]int, len(st.Array.Rings)) // all-zero: infeasible
+	// The patch's candidate construction reports the instance infeasible;
+	// strict mode must not relax it.
+	defer faultinject.Enable(faultinject.Rule{Site: faultinject.SiteAssignCandidates, Call: 1,
+		Err: fmt.Errorf("injected: %w", assign.ErrInfeasible)})()
 	prevPos := c.Positions()
 	prevSched := append([]float64(nil), st.Sched...)
 	prevAsg := st.Assign

@@ -50,21 +50,15 @@ type State struct {
 	Assign  *assign.Assignment
 
 	// WorkSlack is the timing margin (ps) the schedule is feasible at; the
-	// warm-started re-check starts from it and relaxes along the same
-	// ladder the flow uses.
+	// warm-started re-check starts from it and relaxes along the flow's
+	// ladder (skew.Margins).
 	WorkSlack float64
-	// SlackFrac is the fraction of a fresh max slack reserved as margin
-	// when the warm start falls back to a full re-solve (default 0.5,
-	// matching the flow).
-	SlackFrac float64
 
 	// Pinned accumulates RetargetRing deltas: cell ID -> forced ring.
 	Pinned map[int]int
 
 	Params      rotary.Params
 	TModel      timing.Model
-	K           int   // candidate rings per flip-flop
-	Capacity    []int // per-ring capacity; nil = assign's default
 	Parallelism int
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -57,35 +56,12 @@ type ECORequest struct {
 // sane indices, finite coordinates) so the worker only ever sees semantic
 // failures, which eco.Apply reports per delta.
 func ParseECORequest(data []byte, lim Limits) (*ECORequest, error) {
-	if lim.MaxCells <= 0 {
-		lim.MaxCells = 50000
-	}
-	if lim.MaxDeadline <= 0 {
-		lim.MaxDeadline = 5 * time.Minute
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var req ECORequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding eco request: %w", err)
+	if err := decodeStrict(data, "eco", &req); err != nil {
+		return nil, err
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("decoding eco request: trailing data after JSON object")
-	}
-	if req.Circuit.Cells < 1 || req.Circuit.Cells > lim.MaxCells {
-		return nil, fmt.Errorf("circuit.cells %d out of range [1, %d]", req.Circuit.Cells, lim.MaxCells)
-	}
-	if req.Circuit.FlipFlops < 0 || req.Circuit.FlipFlops > req.Circuit.Cells {
-		return nil, fmt.Errorf("circuit.flipflops %d out of range [0, %d]", req.Circuit.FlipFlops, req.Circuit.Cells)
-	}
-	if req.Rings < 0 || req.Rings > 1024 {
-		return nil, fmt.Errorf("rings %d out of range [0, 1024]", req.Rings)
-	}
-	if req.Iters < 0 || req.Iters > 100 {
-		return nil, fmt.Errorf("iters %d out of range [0, 100]", req.Iters)
-	}
-	if req.DeadlineMS < 0 || time.Duration(req.DeadlineMS)*time.Millisecond > lim.MaxDeadline {
-		return nil, fmt.Errorf("deadline_ms %d out of range [0, %d]", req.DeadlineMS, lim.MaxDeadline.Milliseconds())
+	if err := lim.check(req.Circuit, req.Rings, req.Iters, req.DeadlineMS); err != nil {
+		return nil, err
 	}
 	if len(req.Deltas) == 0 {
 		return nil, fmt.Errorf("deltas: empty (an ECO request must edit something)")
@@ -115,25 +91,10 @@ func ParseECORequest(data []byte, lim Limits) (*ECORequest, error) {
 	return &req, nil
 }
 
-// deadline resolves the request's effective time budget.
-func (r *ECORequest) deadline(def time.Duration) time.Duration {
-	if r.DeadlineMS > 0 {
-		return time.Duration(r.DeadlineMS) * time.Millisecond
-	}
-	return def
-}
-
-func (r *ECORequest) rings() int {
-	if r.Rings > 0 {
-		return r.Rings
-	}
-	return 16
-}
-
 // baseKey identifies the shareable base state: the circuit spec plus every
 // knob that shapes the base flow's answer.
 func (r *ECORequest) baseKey() string {
-	return fmt.Sprintf("c%d-f%d-s%d-r%d-i%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed, r.rings(), r.Iters)
+	return fmt.Sprintf("c%d-f%d-s%d-r%d-i%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed, rings(r.Rings), r.Iters)
 }
 
 func (r *ECORequest) spec() netlist.GenSpec {
@@ -201,7 +162,7 @@ func (s *Server) buildECOBase(req *ECORequest) (*ecoBase, error) {
 	}
 	tap := assign.NewTapCache()
 	cfg := core.Config{
-		NumRings:    req.rings(),
+		NumRings:    rings(req.Rings),
 		MaxIters:    req.Iters,
 		Parallelism: s.perJobWorkers(),
 		System:      sys,
@@ -235,7 +196,7 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tok, release := stop.WithTimeout(req.deadline(s.cfg.DefaultDeadline))
+	tok, release := stop.WithTimeout(deadline(req.DeadlineMS, s.cfg.DefaultDeadline))
 	j := &job{ecoReq: req, tok: tok, release: release, admitted: time.Now(), done: make(chan struct{})}
 	if !s.admit(w, j) {
 		return
@@ -275,7 +236,7 @@ func (s *Server) executeECO(j *job) {
 	clone := base.circuit.Clone()
 	reg := obs.NewRegistry()
 	cfg := core.Config{
-		NumRings:    req.rings(),
+		NumRings:    rings(req.Rings),
 		MaxIters:    req.Iters,
 		Strict:      req.Strict,
 		Parallelism: s.perJobWorkers(),

@@ -55,13 +55,13 @@ func FuzzParseECORequest(f *testing.F) {
 		if req.Circuit.FlipFlops < 0 || req.Circuit.FlipFlops > req.Circuit.Cells {
 			t.Fatalf("accepted flipflops %d with %d cells", req.Circuit.FlipFlops, req.Circuit.Cells)
 		}
-		if req.rings() < 1 || req.rings() > 1024 {
-			t.Fatalf("effective rings %d outside [1, 1024]", req.rings())
+		if rings(req.Rings) < 1 || rings(req.Rings) > 1024 {
+			t.Fatalf("effective rings %d outside [1, 1024]", rings(req.Rings))
 		}
 		if req.Iters < 0 || req.Iters > 100 {
 			t.Fatalf("accepted iters %d", req.Iters)
 		}
-		if d := req.deadline(30 * time.Second); d <= 0 || d > lim.MaxDeadline {
+		if d := deadline(req.DeadlineMS, 30*time.Second); d <= 0 || d > lim.MaxDeadline {
 			t.Fatalf("effective deadline %v outside (0, %v]", d, lim.MaxDeadline)
 		}
 		if len(req.Deltas) < 1 || len(req.Deltas) > maxECODeltas {

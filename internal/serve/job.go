@@ -61,31 +61,12 @@ type Limits struct {
 // numeric field is range-checked against the limits, so a decoded request
 // is safe to hand to the generator and the flow unchecked.
 func ParseJobRequest(data []byte, lim Limits) (*JobRequest, error) {
-	if lim.MaxCells <= 0 {
-		lim.MaxCells = 50000
-	}
-	if lim.MaxDeadline <= 0 {
-		lim.MaxDeadline = 5 * time.Minute
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding job request: %w", err)
+	if err := decodeStrict(data, "job", &req); err != nil {
+		return nil, err
 	}
-	// A second document after the first is a malformed request, not data
-	// to ignore.
-	if dec.More() {
-		return nil, fmt.Errorf("decoding job request: trailing data after JSON object")
-	}
-	if req.Circuit.Cells < 1 || req.Circuit.Cells > lim.MaxCells {
-		return nil, fmt.Errorf("circuit.cells %d out of range [1, %d]", req.Circuit.Cells, lim.MaxCells)
-	}
-	if req.Circuit.FlipFlops < 0 || req.Circuit.FlipFlops > req.Circuit.Cells {
-		return nil, fmt.Errorf("circuit.flipflops %d out of range [0, %d]", req.Circuit.FlipFlops, req.Circuit.Cells)
-	}
-	if req.Rings < 0 || req.Rings > 1024 {
-		return nil, fmt.Errorf("rings %d out of range [0, 1024]", req.Rings)
+	if err := lim.check(req.Circuit, req.Rings, req.Iters, req.DeadlineMS); err != nil {
+		return nil, err
 	}
 	switch req.Assigner {
 	case "", "flow", "ilp":
@@ -97,34 +78,72 @@ func ParseJobRequest(data []byte, lim Limits) (*JobRequest, error) {
 	default:
 		return nil, fmt.Errorf("unknown objective %q (want delta or sum)", req.Objective)
 	}
-	if req.Iters < 0 || req.Iters > 100 {
-		return nil, fmt.Errorf("iters %d out of range [0, 100]", req.Iters)
-	}
-	if req.DeadlineMS < 0 || time.Duration(req.DeadlineMS)*time.Millisecond > lim.MaxDeadline {
-		return nil, fmt.Errorf("deadline_ms %d out of range [0, %d]", req.DeadlineMS, lim.MaxDeadline.Milliseconds())
-	}
 	return &req, nil
 }
 
-// deadline resolves the job's effective time budget.
-func (r *JobRequest) deadline(def time.Duration) time.Duration {
-	if r.DeadlineMS > 0 {
-		return time.Duration(r.DeadlineMS) * time.Millisecond
+// decodeStrict decodes one JSON request object into dst, rejecting unknown
+// fields and trailing data; kind names the request in the error.
+func decodeStrict(data []byte, kind string, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("decoding %s request: %w", kind, err)
+	}
+	// A second document after the first is a malformed request, not data
+	// to ignore.
+	if dec.More() {
+		return fmt.Errorf("decoding %s request: trailing data after JSON object", kind)
+	}
+	return nil
+}
+
+// check range-checks the fields every request kind carries against the
+// limits, zero limits meaning the package defaults.
+func (lim Limits) check(c CircuitSpec, numRings, iters, deadlineMS int) error {
+	if lim.MaxCells <= 0 {
+		lim.MaxCells = 50000
+	}
+	if lim.MaxDeadline <= 0 {
+		lim.MaxDeadline = 5 * time.Minute
+	}
+	if c.Cells < 1 || c.Cells > lim.MaxCells {
+		return fmt.Errorf("circuit.cells %d out of range [1, %d]", c.Cells, lim.MaxCells)
+	}
+	if c.FlipFlops < 0 || c.FlipFlops > c.Cells {
+		return fmt.Errorf("circuit.flipflops %d out of range [0, %d]", c.FlipFlops, c.Cells)
+	}
+	if numRings < 0 || numRings > 1024 {
+		return fmt.Errorf("rings %d out of range [0, 1024]", numRings)
+	}
+	if iters < 0 || iters > 100 {
+		return fmt.Errorf("iters %d out of range [0, 100]", iters)
+	}
+	if deadlineMS < 0 || time.Duration(deadlineMS)*time.Millisecond > lim.MaxDeadline {
+		return fmt.Errorf("deadline_ms %d out of range [0, %d]", deadlineMS, lim.MaxDeadline.Milliseconds())
+	}
+	return nil
+}
+
+// deadline resolves a request's effective time budget from its deadline_ms.
+func deadline(ms int, def time.Duration) time.Duration {
+	if ms > 0 {
+		return time.Duration(ms) * time.Millisecond
 	}
 	return def
+}
+
+// rings resolves a request's effective ring count (default 16).
+func rings(n int) int {
+	if n > 0 {
+		return n
+	}
+	return 16
 }
 
 // templateKey identifies the immutable state jobs with this request can
 // share: the circuit spec plus everything that shapes the ring array.
 func (r *JobRequest) templateKey() string {
-	return fmt.Sprintf("c%d-f%d-s%d-r%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed, r.rings())
-}
-
-func (r *JobRequest) rings() int {
-	if r.Rings > 0 {
-		return r.Rings
-	}
-	return 16
+	return fmt.Sprintf("c%d-f%d-s%d-r%d", r.Circuit.Cells, r.Circuit.FlipFlops, r.Circuit.Seed, rings(r.Rings))
 }
 
 func (r *JobRequest) spec() netlist.GenSpec {
@@ -204,7 +223,7 @@ func (s *Server) execute(j *job) {
 
 	reg := obs.NewRegistry()
 	cfg := core.Config{
-		NumRings:    j.req.rings(),
+		NumRings:    rings(j.req.Rings),
 		MaxIters:    j.req.Iters,
 		Strict:      j.req.Strict,
 		Parallelism: s.perJobWorkers(),

@@ -55,14 +55,14 @@ func TestParseJobRequestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("max-cells request rejected under default limits: %v", err)
 	}
-	if got := req.rings(); got != 16 {
+	if got := rings(req.Rings); got != 16 {
 		t.Errorf("default rings = %d, want 16", got)
 	}
-	if got := req.deadline(30 * time.Second); got != 30*time.Second {
+	if got := deadline(req.DeadlineMS, 30*time.Second); got != 30*time.Second {
 		t.Errorf("unset deadline = %v, want server default", got)
 	}
 	req.DeadlineMS = 1500
-	if got := req.deadline(30 * time.Second); got != 1500*time.Millisecond {
+	if got := deadline(req.DeadlineMS, 30*time.Second); got != 1500*time.Millisecond {
 		t.Errorf("explicit deadline = %v, want 1.5s", got)
 	}
 	if _, err := ParseJobRequest([]byte(`{"circuit":{"cells":50001}}`), Limits{}); err == nil {
@@ -132,10 +132,10 @@ func TestParseECORequestRejects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("minimal eco request rejected under default limits: %v", err)
 	}
-	if req.rings() != 16 {
-		t.Errorf("default eco rings = %d, want 16", req.rings())
+	if rings(req.Rings) != 16 {
+		t.Errorf("default eco rings = %d, want 16", rings(req.Rings))
 	}
-	if got := req.deadline(7 * time.Second); got != 7*time.Second {
+	if got := deadline(req.DeadlineMS, 7*time.Second); got != 7*time.Second {
 		t.Errorf("unset eco deadline = %v, want server default", got)
 	}
 }

@@ -237,8 +237,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := req.deadline(s.cfg.DefaultDeadline)
-	tok, release := stop.WithTimeout(deadline)
+	tok, release := stop.WithTimeout(deadline(req.DeadlineMS, s.cfg.DefaultDeadline))
 	j := &job{req: req, tok: tok, release: release, admitted: time.Now(), done: make(chan struct{})}
 	if !s.admit(w, j) {
 		return

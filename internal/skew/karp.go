@@ -8,23 +8,17 @@ import (
 	"rotaryclk/internal/stop"
 )
 
-// MinCycleMean computes the minimum mean weight over all directed cycles of
+// minCycleMean computes the minimum mean weight over all directed cycles of
 // the constraint graph (edges V -> U with weight Bound for each constraint
 // t_U - t_V <= Bound), using Karp's O(n*m) dynamic program. It returns
-// +Inf when the graph is acyclic.
+// +Inf when the graph is acyclic. The stop token (nil for none) is checked
+// once per DP row (each row is O(m) work).
 //
 // This is the heart of the exact graph-based max-slack solver: every
 // Fishburn constraint bound shrinks by exactly one unit per unit of slack M,
 // so the system is feasible iff M is at most the minimum cycle mean of the
 // M=0 constraint graph (the classic Albrecht/Korte/Schietke/Vygen view of
 // cycle-time optimization).
-func MinCycleMean(n int, cons []DiffConstraint) float64 {
-	m, _ := minCycleMean(nil, n, cons)
-	return m
-}
-
-// minCycleMean is MinCycleMean with a cooperative stop token checked once
-// per DP row (each row is O(m) work).
 func minCycleMean(tok *stop.Token, n int, cons []DiffConstraint) (float64, error) {
 	if n == 0 || len(cons) == 0 {
 		return math.Inf(1), nil

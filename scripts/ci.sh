@@ -32,8 +32,9 @@
 #                         default 10m), plus the tiny sweep-point unit test;
 #                         the full geometric sweep is `make scaling`
 #                         (cmd/rotaryscale -> BENCH_scaling.json)
-#   scripts/ci.sh eco     ECO smoke: 20 random single-delta edits at 20k
-#                         cells through the incremental path, every edit
+#   scripts/ci.sh eco     ECO smoke: the ECO outcome golden, the corrupted-
+#                         patch oracle negative, then 20 random single-delta
+#                         edits at 20k cells through the incremental path, every edit
 #                         proven equivalent to the from-scratch arm, mean
 #                         edit latency at least 5x faster than a full
 #                         re-run (ECO_TIMEOUT, default 15m); the 50k
@@ -52,9 +53,9 @@
 #                         at 1 and 8 workers), the swallowed-STA-error
 #                         surface test, and the Table VIII worst-slack
 #                         acceptance run (improvement on >= 2 circuits)
-#   scripts/ci.sh golden  run only the golden-table regression harness
-#                         (UPDATE=1 re-records the goldens after a reviewed
-#                         table change)
+#   scripts/ci.sh golden  run only the golden regression harnesses, Tables
+#                         I-VIII and the ECO outcome golden (UPDATE=1
+#                         re-records both after a reviewed change)
 #   scripts/ci.sh cover   go test -cover over every package; fails if total
 #                         statement coverage drops more than 2 points below
 #                         the recorded COVERAGE_baseline.txt (UPDATE=1
@@ -223,6 +224,8 @@ scaling)
     ;;
 eco)
     timeout="${ECO_TIMEOUT:-15m}"
+    go test ./internal/eco/ -run '^TestGoldenECO$' -count=1
+    go test ./internal/oracle/ -run '^TestFaultECODetected$' -count=1
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
     ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
         -run '^TestECOSmoke20k$' -count=1 -v ./internal/bench/
@@ -241,10 +244,11 @@ timing)
     go test -timeout 20m ./internal/exp/ -run '^(TestTimingSmoke|TestVarPairsSurfacesAnalysisError)$' -count=1 -v
     ;;
 golden)
+    # Tables I-VIII (internal/exp) and the ECO outcome golden (internal/eco).
     if [ "${UPDATE:-0}" = "1" ]; then
-        go test ./internal/exp -run '^TestGolden' -count=1 -update
+        go test ./internal/exp ./internal/eco -run '^TestGolden' -count=1 -update
     else
-        go test ./internal/exp -run '^TestGolden' -count=1
+        go test ./internal/exp ./internal/eco -run '^TestGolden' -count=1
     fi
     ;;
 cover)
