@@ -333,48 +333,83 @@ func MinCost(p *Problem) (*Assignment, error) {
 		return nil, err
 	}
 	p.obsReg.Add("assign.mincost.calls", 1)
-	nFF, nR := len(p.FFs), len(p.Array.Rings)
-	g := mcmf.NewGraph(2 + nFF + nR)
-	g.Obs = p.obsReg
-	g.Stop = p.Stop
-	s, t := 0, 1
-	ffNode := func(i int) int { return 2 + i }
-	ringNode := func(j int) int { return 2 + nFF + j }
-	for i := range p.FFs {
-		g.AddArc(s, ffNode(i), 1, 0)
-	}
-	arcIDs := make([][]mcmf.ArcID, nFF)
-	for i, cs := range cands {
-		arcIDs[i] = make([]mcmf.ArcID, len(cs))
-		for k, c := range cs {
-			arcIDs[i][k] = g.AddArc(ffNode(i), ringNode(c.ring), 1, c.cost)
-		}
-	}
-	for j := 0; j < nR; j++ {
-		g.AddArc(ringNode(j), t, p.Capacity[j], 0)
-	}
-	flow, _, err := g.MinCostMaxFlow(s, t)
+	net := p.network(cands)
+	flow, _, err := net.g.MinCostMaxFlow(fig4Source, fig4Target)
 	if err != nil {
 		return nil, fmt.Errorf("assign: flow solve: %w", err)
 	}
-	if flow < nFF {
-		return nil, fmt.Errorf("assign: only %d of %d flip-flops assignable under capacities (increase K or capacity): %w", flow, nFF, ErrInfeasible)
+	if flow < len(p.FFs) {
+		return nil, fmt.Errorf("assign: only %d of %d flip-flops assignable under capacities (increase K or capacity): %w", flow, len(p.FFs), ErrInfeasible)
 	}
-	choice := make([]candidate, nFF)
+	choice, err := net.chosen(cands)
+	if err != nil {
+		return nil, fmt.Errorf("assign: %w", err)
+	}
+	return p.finish(choice), nil
+}
+
+// fig4 is the Section V flow network of Fig. 4 over a candidate set: source
+// -> flip-flop i (cap 1) -> candidate ring (cap 1, cost c_ij) -> target
+// (cap U_j), with the arc IDs the cold and the warm-started solves route
+// and read back.
+type fig4 struct {
+	g    *mcmf.Graph
+	src  []mcmf.ArcID   // source -> flip-flop i
+	cand [][]mcmf.ArcID // flip-flop i -> ring of cands[i][k]
+	sink []mcmf.ArcID   // ring j -> target
+}
+
+// The Fig. 4 network's source and target nodes; flip-flop i is node 2+i and
+// ring j node 2+nFF+j.
+const fig4Source, fig4Target = 0, 1
+
+// network builds the Fig. 4 network for cands under the problem's ring
+// capacities, wired to its registry and stop token.
+func (p *Problem) network(cands [][]candidate) *fig4 {
+	nFF, nR := len(p.FFs), len(p.Array.Rings)
+	net := &fig4{
+		g:    mcmf.NewGraph(2 + nFF + nR),
+		src:  make([]mcmf.ArcID, nFF),
+		cand: make([][]mcmf.ArcID, nFF),
+		sink: make([]mcmf.ArcID, nR),
+	}
+	net.g.Obs = p.obsReg
+	net.g.Stop = p.Stop
+	ffNode := func(i int) int { return 2 + i }
+	ringNode := func(j int) int { return 2 + nFF + j }
+	for i := range p.FFs {
+		net.src[i] = net.g.AddArc(fig4Source, ffNode(i), 1, 0)
+	}
+	for i, cs := range cands {
+		net.cand[i] = make([]mcmf.ArcID, len(cs))
+		for k, c := range cs {
+			net.cand[i][k] = net.g.AddArc(ffNode(i), ringNode(c.ring), 1, c.cost)
+		}
+	}
+	for j := 0; j < nR; j++ {
+		net.sink[j] = net.g.AddArc(ringNode(j), fig4Target, p.Capacity[j], 0)
+	}
+	return net
+}
+
+// chosen reads each flip-flop's candidate off the routed flow: the first
+// candidate arc carrying a unit.
+func (net *fig4) chosen(cands [][]candidate) ([]candidate, error) {
+	choice := make([]candidate, len(cands))
 	for i, cs := range cands {
 		found := false
 		for k := range cs {
-			if g.Flow(arcIDs[i][k]) > 0 {
+			if net.g.Flow(net.cand[i][k]) > 0 {
 				choice[i] = cs[k]
 				found = true
 				break
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("assign: internal: flip-flop %d carries no flow", i)
+			return nil, fmt.Errorf("internal: flip-flop %d carries no flow", i)
 		}
 	}
-	return p.finish(choice), nil
+	return choice, nil
 }
 
 // Relax is the LP-relaxation result backing Table I.

@@ -63,25 +63,8 @@ func PatchMinCost(p *Problem, prevRing []int, dirty []int) (*Assignment, error) 
 	}
 
 	nFF, nR := len(p.FFs), len(p.Array.Rings)
-	g := mcmf.NewGraph(2 + nFF + nR)
-	g.Obs = reg
-	g.Stop = p.Stop
-	s, t := 0, 1
-	srcArc := make([]mcmf.ArcID, nFF)
-	for i := range p.FFs {
-		srcArc[i] = g.AddArc(s, 2+i, 1, 0)
-	}
-	arcIDs := make([][]mcmf.ArcID, nFF)
-	for i, cs := range cands {
-		arcIDs[i] = make([]mcmf.ArcID, len(cs))
-		for k, c := range cs {
-			arcIDs[i][k] = g.AddArc(2+i, 2+nFF+c.ring, 1, c.cost)
-		}
-	}
-	sinkArc := make([]mcmf.ArcID, nR)
-	for j := 0; j < nR; j++ {
-		sinkArc[j] = g.AddArc(2+nFF+j, t, p.Capacity[j], 0)
-	}
+	net := p.network(cands)
+	g := net.g
 
 	// Preload the clean flip-flops along their previous rings, respecting
 	// the (possibly changed) capacities; anything that no longer fits routes
@@ -100,7 +83,7 @@ func PatchMinCost(p *Problem, prevRing []int, dirty []int) (*Assignment, error) 
 		arc := mcmf.ArcID(-1)
 		for k, c := range cands[i] {
 			if c.ring == j {
-				arc = arcIDs[i][k]
+				arc = net.cand[i][k]
 				break
 			}
 		}
@@ -108,9 +91,9 @@ func PatchMinCost(p *Problem, prevRing []int, dirty []int) (*Assignment, error) 
 			isDirty[i] = true
 			continue
 		}
-		g.Push(srcArc[i], 1)
+		g.Push(net.src[i], 1)
 		g.Push(arc, 1)
-		g.Push(sinkArc[j], 1)
+		g.Push(net.sink[j], 1)
 		used[j]++
 		preloaded++
 	}
@@ -129,7 +112,7 @@ func PatchMinCost(p *Problem, prevRing []int, dirty []int) (*Assignment, error) 
 
 	deficit := nFF - preloaded
 	if deficit > 0 {
-		flow, _, err := g.MinCostFlow(s, t, deficit)
+		flow, _, err := g.MinCostFlow(fig4Source, fig4Target, deficit)
 		if err != nil {
 			return nil, fmt.Errorf("assign: patch flow solve: %w", err)
 		}
@@ -137,20 +120,9 @@ func PatchMinCost(p *Problem, prevRing []int, dirty []int) (*Assignment, error) 
 			return nil, fmt.Errorf("assign: patch: only %d of %d flip-flops assignable under capacities (increase K or capacity): %w", preloaded+flow, nFF, ErrInfeasible)
 		}
 	}
-
-	choice := make([]candidate, nFF)
-	for i, cs := range cands {
-		found := false
-		for k := range cs {
-			if g.Flow(arcIDs[i][k]) > 0 {
-				choice[i] = cs[k]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("assign: patch: internal: flip-flop %d carries no flow", i)
-		}
+	choice, err := net.chosen(cands)
+	if err != nil {
+		return nil, fmt.Errorf("assign: patch: %w", err)
 	}
 	return p.finish(choice), nil
 }

@@ -9,13 +9,13 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/oracle"
 )
 
 // ECOOptions configures one edit-latency measurement.
@@ -163,7 +163,7 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 			if out2.Outcome.Degraded {
 				return nil, fmt.Errorf("edit %d scratch arm degraded: %v", e, out2.Outcome.Events)
 			}
-			if err := compareArms(st, stScratch, out.Outcome.Total, out2.Outcome.Total); err != nil {
+			if err := oracle.CompareECO(st, stScratch, out.Outcome.Total, out2.Outcome.Total); err != nil {
 				return nil, fmt.Errorf("edit %d: eco/scratch divergence: %w", e, err)
 			}
 		}
@@ -187,38 +187,4 @@ func RunECOBench(opt ECOOptions) (*ECOPoint, error) {
 		pt.Speedup = float64(pt.FullNS) / float64(pt.EcoMeanNS)
 	}
 	return pt, nil
-}
-
-// compareArms enforces the equivalence contract between the incremental and
-// scratch arms: positions and schedules within 1e-9, totals within 1e-6
-// relative (the patched assignment is cost-equal, not tie-equal).
-func compareArms(st1, st2 *eco.State, total1, total2 float64) error {
-	if !closeRel(total1, total2, 1e-6) {
-		return fmt.Errorf("tapping total %.9g vs %.9g", total1, total2)
-	}
-	c1, c2 := st1.Circuit, st2.Circuit
-	if len(c1.Cells) != len(c2.Cells) {
-		return fmt.Errorf("cell count %d vs %d", len(c1.Cells), len(c2.Cells))
-	}
-	for i := range c1.Cells {
-		p1, p2 := c1.Cells[i].Pos, c2.Cells[i].Pos
-		if !closeRel(p1.X, p2.X, 1e-9) || !closeRel(p1.Y, p2.Y, 1e-9) {
-			return fmt.Errorf("cell %d at %v vs %v", i, p1, p2)
-		}
-	}
-	if len(st1.Sched) != len(st2.Sched) {
-		return fmt.Errorf("schedule length %d vs %d", len(st1.Sched), len(st2.Sched))
-	}
-	for i := range st1.Sched {
-		if !closeRel(st1.Sched[i], st2.Sched[i], 1e-9) {
-			return fmt.Errorf("schedule[%d] %.12g vs %.12g", i, st1.Sched[i], st2.Sched[i])
-		}
-	}
-	return nil
-}
-
-// closeRel reports |a-b| <= tol * max(1, |a|, |b|).
-func closeRel(a, b, tol float64) bool {
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol*scale
 }

@@ -219,7 +219,7 @@ func (r *applyRun) place() error {
 	}
 	sort.Ints(dirty)
 	if len(dirty) > 0 {
-		moved, err := r.sys.SolveDirty(dirty, 0, r.opt.Stop)
+		moved, err := r.sys.SolveDirty(dirty, r.opt.Stop)
 		if err != nil {
 			return &failure{"dirty-region placement", err}
 		}

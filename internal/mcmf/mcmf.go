@@ -182,25 +182,43 @@ func (g *Graph) bellmanFord() (ok bool, relaxed int, err error) {
 		if err := stop.Check(g.Stop, faultinject.SiteMcmfPathCancel); err != nil {
 			return false, relaxed, fmt.Errorf("mcmf: potential initialization: %w", err)
 		}
-		changed := false
-		for u := 0; u < g.n; u++ {
-			for _, ai := range g.adj[u] {
-				a := &g.arcs[ai]
-				if a.cap <= 0 {
-					continue
-				}
-				if nd := g.pot[u] + a.cost; nd < g.pot[a.to]-1e-12 {
-					g.pot[a.to] = nd
-					relaxed++
-					changed = true
-				}
-			}
-		}
-		if !changed {
+		_, r := g.relaxRound(g.pot, nil, 1e-12)
+		relaxed += r
+		if r == 0 {
 			return true, relaxed, nil
 		}
 	}
 	return false, relaxed, nil
+}
+
+// relaxRound is one Bellman-Ford round over the residual graph, the kernel
+// behind potential initialization, residual distances and negative-cycle
+// detection: every arc with residual capacity out of a reached node (dist
+// not +Inf) lowers the distance of its head when that beats the current
+// value by more than tol, recording the arc in prev when prev is non-nil.
+// It returns the last node improved (-1 if none) and the improvement count.
+func (g *Graph) relaxRound(dist []float64, prev []int32, tol float64) (last, improved int) {
+	last = -1
+	for u := 0; u < g.n; u++ {
+		if math.IsInf(dist[u], 1) {
+			continue
+		}
+		for _, ai := range g.adj[u] {
+			a := &g.arcs[ai]
+			if a.cap <= 0 {
+				continue
+			}
+			if nd := dist[u] + a.cost; nd < dist[a.to]-tol {
+				dist[a.to] = nd
+				if prev != nil {
+					prev[a.to] = ai
+				}
+				last = a.to
+				improved++
+			}
+		}
+	}
+	return last, improved
 }
 
 // MinCostFlow pushes up to maxFlow units from s to t along successive
@@ -350,23 +368,7 @@ func (g *Graph) ResidualDistances(src int) (dist []float64, ok bool) {
 	}
 	dist[src] = 0
 	for iter := 0; iter <= g.n; iter++ {
-		changed := false
-		for u := 0; u < g.n; u++ {
-			if math.IsInf(dist[u], 1) {
-				continue
-			}
-			for _, ai := range g.adj[u] {
-				a := &g.arcs[ai]
-				if a.cap <= 0 {
-					continue
-				}
-				if nd := dist[u] + a.cost; nd < dist[a.to]-1e-9 {
-					dist[a.to] = nd
-					changed = true
-				}
-			}
-		}
-		if !changed {
+		if _, r := g.relaxRound(dist, nil, 1e-9); r == 0 {
 			return dist, true
 		}
 	}

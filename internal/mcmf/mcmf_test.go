@@ -331,3 +331,15 @@ func TestResidualDistancesDirect(t *testing.T) {
 		t.Errorf("reverse residual dist = %v ok=%v", dist, ok)
 	}
 }
+
+// TestResidualDistancesNegativeCycle: a residual graph holding a negative
+// cycle (0->1 at -5, back at +1) has no shortest-path distances, and
+// ResidualDistances must say so instead of returning a truncated vector.
+func TestResidualDistancesNegativeCycle(t *testing.T) {
+	g := NewGraph(2)
+	g.AddArc(0, 1, 1, -5)
+	g.AddArc(1, 0, 1, 1)
+	if _, ok := g.ResidualDistances(0); ok {
+		t.Error("negative residual cycle reported as ok")
+	}
+}

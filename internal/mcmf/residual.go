@@ -80,20 +80,7 @@ func (g *Graph) CancelNegativeCycles() (canceled int, delta float64, err error) 
 		}
 		witness := -1
 		for round := 0; round < g.n; round++ {
-			changed := -1
-			for u := 0; u < g.n; u++ {
-				for _, ai := range g.adj[u] {
-					a := &g.arcs[ai]
-					if a.cap <= 0 {
-						continue
-					}
-					if nd := dist[u] + a.cost; nd < dist[a.to]-1e-12 {
-						dist[a.to] = nd
-						prevArc[a.to] = ai
-						changed = a.to
-					}
-				}
-			}
+			changed, _ := g.relaxRound(dist, prevArc, 1e-12)
 			if changed < 0 {
 				return canceled, delta, nil
 			}

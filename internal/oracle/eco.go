@@ -32,11 +32,11 @@ func (s *ECOSpec) clone() *ECOSpec {
 // CheckECO generates the circuit, runs the base flow once, then applies the
 // delta sequence one delta at a time through the incremental arm and the
 // scratch arm. After every delta both arms must agree on feasibility and
-// degradation, commit positions and schedules within 1e-9, and totals within
-// 1e-6 relative (the patched assignment is cost-equal, not tie-equal). A
-// base flow that fails or degrades yields no comparison. The check returns
-// at the first divergence: past it the arms optimize different states and
-// later differences are noise.
+// degradation and pass CompareECO (the patched assignment is cost-equal, not
+// tie-equal, so totals get the looser bound). A base flow that fails or
+// degrades yields no comparison. The check returns at the first divergence:
+// past it the arms optimize different states and later differences are
+// noise.
 func CheckECO(s *ECOSpec, cfg core.Config, seed int64) []Violation {
 	const name = "eco/scratch"
 	c, err := netlist.Generate(s.Spec)
@@ -67,35 +67,49 @@ func CheckECO(s *ECOSpec, cfg core.Config, seed int64) []Violation {
 			return violationf(name, seed,
 				"delta %d %s: degradation differs: eco=%v, scratch=%v", di, d, o1.Degraded, o2.Degraded)
 		}
-		if !closeRel(o1.Total, o2.Total, 1e-6, 1e-6) {
-			return violationf(name, seed,
-				"delta %d %s: tapping total differs: eco %.9g vs scratch %.9g", di, d, o1.Total, o2.Total)
-		}
-		if msg := compareState(c1, c2, st1, st2); msg != "" {
-			return violationf(name, seed, "delta %d %s: %s", di, d, msg)
+		if err := CompareECO(st1, st2, o1.Total, o2.Total); err != nil {
+			return violationf(name, seed, "delta %d %s: %v", di, d, err)
 		}
 	}
 	return nil
 }
 
-// compareState checks committed positions and schedules of the two arms.
-func compareState(c1, c2 *netlist.Circuit, st1, st2 *eco.State) string {
+// CompareECO is the ECO equivalence contract, shared by this oracle and the
+// ECO benchmark's checked arm: the incremental arm st1 and the scratch arm
+// st2 must agree on the tapping total within 1e-6 and on every committed
+// position and schedule entry within 1e-9, each relative to
+// max(1, |a|, |b|). It returns nil when they agree, otherwise the first
+// difference.
+func CompareECO(st1, st2 *eco.State, total1, total2 float64) error {
+	if !within(total1, total2, 1e-6) {
+		return fmt.Errorf("tapping total differs: eco %.9g vs scratch %.9g", total1, total2)
+	}
+	c1, c2 := st1.Circuit, st2.Circuit
+	if len(c1.Cells) != len(c2.Cells) {
+		return fmt.Errorf("cell count %d (eco) vs %d (scratch)", len(c1.Cells), len(c2.Cells))
+	}
 	for i := range c1.Cells {
 		p1, p2 := c1.Cells[i].Pos, c2.Cells[i].Pos
-		if !closeRel(p1.X, p2.X, 1e-9, 1e-9) || !closeRel(p1.Y, p2.Y, 1e-9, 1e-9) {
-			return fmt.Sprintf("cell %d placed at %v (eco) vs %v (scratch)", i, p1, p2)
+		if !within(p1.X, p2.X, 1e-9) || !within(p1.Y, p2.Y, 1e-9) {
+			return fmt.Errorf("cell %d placed at %v (eco) vs %v (scratch)", i, p1, p2)
 		}
 	}
 	if len(st1.Sched) != len(st2.Sched) {
-		return fmt.Sprintf("schedule length %d (eco) vs %d (scratch)", len(st1.Sched), len(st2.Sched))
+		return fmt.Errorf("schedule length %d (eco) vs %d (scratch)", len(st1.Sched), len(st2.Sched))
 	}
 	for i := range st1.Sched {
-		if !closeRel(st1.Sched[i], st2.Sched[i], 1e-9, 1e-9) {
-			return fmt.Sprintf("schedule[%d] = %.12g (eco) vs %.12g (scratch), diff %.3g",
+		if !within(st1.Sched[i], st2.Sched[i], 1e-9) {
+			return fmt.Errorf("schedule[%d] = %.12g (eco) vs %.12g (scratch), diff %.3g",
 				i, st1.Sched[i], st2.Sched[i], math.Abs(st1.Sched[i]-st2.Sched[i]))
 		}
 	}
-	return ""
+	return nil
+}
+
+// within reports |a-b| <= tol * max(1, |a|, |b|). NaN on either side never
+// compares close.
+func within(a, b, tol float64) bool {
+	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
 // shrinkECO minimizes a failing ECO spec by greedily dropping deltas while

@@ -227,17 +227,13 @@ func (s *System) PatchNet(netID int, oldPins []int) (*System, bool, error) {
 // the star nodes of nets touching it form the unknowns; each connected
 // component solves independently with serial CG (so disjoint edits compose
 // bit-identically whether batched or sequential), with stability anchors at
-// weight anchorWeight (default 6.0, matching Incremental) keeping the
-// region from drifting. Positions write back clamped to the die. It returns
-// the number of cells whose position changed. Cell IDs that are fixed or
-// unknown are ignored.
-func (s *System) SolveDirty(dirtyCells []int, anchorWeight float64, tok *stop.Token) (int, error) {
+// Incremental's weight keeping the region from drifting. Positions write
+// back clamped to the die. It returns the number of cells whose position
+// changed. Cell IDs that are fixed or unknown are ignored.
+func (s *System) SolveDirty(dirtyCells []int, tok *stop.Token) (int, error) {
 	c := s.c
 	if err := validate(c); err != nil {
 		return 0, err
-	}
-	if anchorWeight <= 0 {
-		anchorWeight = 6.0
 	}
 	sub := map[int]bool{}
 	for _, id := range dirtyCells {
@@ -293,7 +289,7 @@ func (s *System) SolveDirty(dirtyCells []int, anchorWeight float64, tok *stop.To
 			}
 		}
 		sort.Ints(comp)
-		m, err := s.solveComponent(comp, anchorWeight)
+		m, err := s.solveComponent(comp)
 		if err != nil {
 			return moved, err
 		}
@@ -306,7 +302,7 @@ func (s *System) SolveDirty(dirtyCells []int, anchorWeight float64, tok *stop.To
 // solveComponent solves one connected dirty component: a small SPD system
 // over the component's unknowns, with clean neighbors folded into the
 // right-hand side at their current positions.
-func (s *System) solveComponent(comp []int, anchorWeight float64) (int, error) {
+func (s *System) solveComponent(comp []int) (int, error) {
 	c := s.c
 	m := len(comp)
 	local := make(map[int]int, m)
@@ -329,9 +325,9 @@ func (s *System) solveComponent(comp []int, anchorWeight float64) (int, error) {
 		by[li] = s.baseBy[i]
 		if i < s.nMov {
 			pos := c.Cells[s.cells[i]].Pos
-			diag[li] += anchorWeight
-			bx[li] += anchorWeight * pos.X
-			by[li] += anchorWeight * pos.Y
+			diag[li] += stabilityWeight
+			bx[li] += stabilityWeight * pos.X
+			by[li] += stabilityWeight * pos.Y
 			x[li], y[li] = pos.X, pos.Y
 		} else {
 			// Seed the star at its pin centroid, like prepare does.

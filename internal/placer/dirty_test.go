@@ -261,7 +261,7 @@ func TestSolveDirtyBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysB.SolveDirty(append(append([]int{}, aCells...), bCells...), 0, nil); err != nil {
+	if _, err := sysB.SolveDirty(append(append([]int{}, aCells...), bCells...), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -270,10 +270,10 @@ func TestSolveDirtyBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysS.SolveDirty(aCells2, 0, nil); err != nil {
+	if _, err := sysS.SolveDirty(aCells2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysS.SolveDirty(bCells2, 0, nil); err != nil {
+	if _, err := sysS.SolveDirty(bCells2, nil); err != nil {
 		t.Fatal(err)
 	}
 	samePositions(t, "batch vs sequential", cb.Positions(), cs.Positions())
@@ -290,7 +290,7 @@ func TestSolveDirtyPullsTowardConnectivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Positions()
-	moved, err := sys.SolveDirty(aCells[:1], 0, nil)
+	moved, err := sys.SolveDirty(aCells[:1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +332,11 @@ func TestSolveDirtyEmptyAndUnknown(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Positions()
-	moved, err := sys.SolveDirty(nil, 0, nil)
+	moved, err := sys.SolveDirty(nil, nil)
 	if err != nil || moved != 0 {
 		t.Fatalf("empty dirty set: moved=%d err=%v", moved, err)
 	}
-	moved, err = sys.SolveDirty([]int{0, 9999}, 0, nil) // fixed pad + unknown ID
+	moved, err = sys.SolveDirty([]int{0, 9999}, nil) // fixed pad + unknown ID
 	if err != nil || moved != 0 {
 		t.Fatalf("fixed/unknown dirty set: moved=%d err=%v", moved, err)
 	}
@@ -352,7 +352,7 @@ func TestSolveDirtyStops(t *testing.T) {
 	}
 	tok, cancel := stop.WithTimeout(-time.Second)
 	defer cancel()
-	if _, err := sys.SolveDirty(aCells, 0, tok); !stop.IsStop(err) {
+	if _, err := sys.SolveDirty(aCells, tok); !stop.IsStop(err) {
 		t.Fatalf("err = %v, want a stop error", err)
 	}
 }

@@ -3,18 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
-	"time"
 
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/obs"
 	"rotaryclk/internal/placer"
-	"rotaryclk/internal/stop"
 )
 
 // maxECODeltas caps the delta batch one request may carry. ECO is for small
@@ -178,129 +173,53 @@ func (s *Server) buildECOBase(req *ECORequest) (*ecoBase, error) {
 	return &ecoBase{circuit: c, res: res, sys: sys, tap: tap}, nil
 }
 
-// handleECO admits, runs, and answers one ECO request through the same
-// queue, worker pool, deadline, and drain machinery as placement jobs.
-func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
-		return
-	}
-	req, err := ParseECORequest(body, s.cfg.limits())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	tok, release := stop.WithTimeout(deadline(req.DeadlineMS, s.cfg.DefaultDeadline))
-	j := &job{ecoReq: req, tok: tok, release: release, admitted: time.Now(), done: make(chan struct{})}
-	if !s.admit(w, j) {
-		return
-	}
-	s.awaitAndReply(w, j)
+func (r *ECORequest) fields() requestFields {
+	return requestFields{r.Rings, r.Iters, r.DeadlineMS, r.Strict, r.Telemetry}
 }
 
-// executeECO runs one admitted ECO request: pick up (or build) the shared
-// base placement, clone it, seed a fresh ECO state over the clone, and
-// absorb the delta batch under the request's token and registry. The clone
+// prepare picks up (or builds) the shared base placement, clones it, seeds a
+// fresh ECO state over the clone, and binds the delta batch to it. The clone
 // means a failed or degraded apply never poisons the shared base.
-func (s *Server) executeECO(j *job) {
-	start := j.admitted
-	defer func() {
-		s.mu.Lock()
-		delete(s.active, j)
-		s.mu.Unlock()
-		j.release()
-		close(j.done)
-	}()
-
-	req := j.ecoReq
-	base, hit, err := s.ecoBases.get(req.baseKey(), func() (*ecoBase, error) {
-		return s.buildECOBase(req)
-	})
+func (r *ECORequest) prepare(s *Server, cfg core.Config) (func() (reply, error), int, error) {
+	base, hit, err := s.ecoBases.lookup(r.baseKey(), func() (*ecoBase, error) {
+		return s.buildECOBase(r)
+	}, &s.stats.ecoBaseBuilds, &s.stats.ecoBaseHits)
 	if err != nil {
-		j.status, j.errMsg = 500, fmt.Sprintf("building ECO base placement: %v", err)
-		s.stats.add(&s.stats.failed, 1)
-		return
+		return nil, 500, fmt.Errorf("building ECO base placement: %v", err)
 	}
-	if hit {
-		s.stats.add(&s.stats.ecoBaseHits, 1)
-	} else {
-		s.stats.add(&s.stats.ecoBaseBuilds, 1)
-	}
-
 	clone := base.circuit.Clone()
-	reg := obs.NewRegistry()
-	cfg := core.Config{
-		NumRings:    rings(req.Rings),
-		MaxIters:    req.Iters,
-		Strict:      req.Strict,
-		Parallelism: s.perJobWorkers(),
-		Obs:         reg,
-		Stop:        j.tok,
-		System:      base.sys,
-		TapCache:    base.tap,
-	}
+	cfg.System, cfg.TapCache = base.sys, base.tap
 	st, err := core.NewECOState(clone, cfg, base.res)
 	if err != nil {
-		j.status, j.errMsg = 500, fmt.Sprintf("seeding ECO state: %v", err)
-		s.stats.add(&s.stats.failed, 1)
-		return
+		return nil, 500, fmt.Errorf("seeding ECO state: %v", err)
 	}
+	return func() (reply, error) {
+		res, err := s.runECO(st, r.Deltas, cfg, eco.Options{Strict: r.Strict})
+		if err != nil {
+			return nil, err
+		}
+		out := res.Outcome
+		return &ECOResponse{
+			Circuit:       clone.Name,
+			Degraded:      out.Degraded,
+			Events:        out.Events,
+			Applied:       out.Deltas,
+			NoOps:         out.NoOps,
+			DirtyCells:    out.DirtyCells,
+			MovedCells:    out.MovedCells,
+			DirtyFFs:      out.DirtyFFs,
+			SystemPatched: out.SystemPatched,
+			SystemRebuilt: out.SystemRebuilt,
+			SchedRounds:   out.SchedRounds,
+			WorkSlackPS:   sanitize(out.WorkSlack),
+			TapTotalUM:    sanitize(out.Total),
+			Final:         sanitizeMetrics(res.Final),
+			BaseHit:       hit,
+		}, nil
+	}, 0, nil
+}
 
-	res, runErr, panicked := protect(func() (*core.ECOResult, error) {
-		return s.runECO(st, req.Deltas, cfg, eco.Options{Strict: req.Strict})
-	})
-	elapsed := time.Since(start)
-	if panicked {
-		s.stats.add(&s.stats.panics, 1)
-		j.status, j.errMsg = 500, fmt.Sprintf("job panicked: %v", runErr)
-		return
-	}
-	if runErr != nil {
-		// Invalid deltas and strict-mode failures land here; a deadline in
-		// non-strict mode comes back as a degraded (rolled-back) outcome.
-		s.stats.add(&s.stats.failed, 1)
-		j.status, j.errMsg = 422, runErr.Error()
-		return
-	}
-
-	out := res.Outcome
-	resp := &ECOResponse{
-		Circuit:       clone.Name,
-		Degraded:      out.Degraded,
-		Events:        out.Events,
-		Applied:       out.Deltas,
-		NoOps:         out.NoOps,
-		DirtyCells:    out.DirtyCells,
-		MovedCells:    out.MovedCells,
-		DirtyFFs:      out.DirtyFFs,
-		SystemPatched: out.SystemPatched,
-		SystemRebuilt: out.SystemRebuilt,
-		SchedRounds:   out.SchedRounds,
-		WorkSlackPS:   sanitize(out.WorkSlack),
-		TapTotalUM:    sanitize(out.Total),
-		Final:         sanitizeMetrics(res.Final),
-		ElapsedMS:     float64(elapsed) / float64(time.Millisecond),
-		BaseHit:       hit,
-	}
-	if req.Telemetry {
-		snap := reg.Snapshot()
-		resp.Counters = json.RawMessage(snap.CountersJSON())
-		resp.Trace = snap.Text()
-	}
-	j.status, j.resp = 200, resp
-
-	s.stats.add(&s.stats.completed, 1)
-	if out.Degraded {
-		s.stats.add(&s.stats.degraded, 1)
-	}
-	if j.tok.Stopped() {
-		s.stats.add(&s.stats.deadlined, 1)
-	}
-	s.stats.observe(elapsed)
+func (r *ECOResponse) stamp(elapsedMS float64, counters json.RawMessage, trace string) bool {
+	r.ElapsedMS, r.Counters, r.Trace = elapsedMS, counters, trace
+	return r.Degraded
 }

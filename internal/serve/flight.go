@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // flight is a keyed singleflight cache for the state requests with the same
@@ -54,6 +55,20 @@ func (c *flight[T]) get(key string, build func() (T, error)) (v T, hit bool, err
 		c.mu.Unlock()
 	}
 	return e.v, false, e.err
+}
+
+// lookup is get for a server cache: it counts a successful get as a build or
+// a hit on the cache's own counters.
+func (c *flight[T]) lookup(key string, build func() (T, error), builds, hits *atomic.Int64) (T, bool, error) {
+	v, hit, err := c.get(key, build)
+	switch {
+	case err != nil:
+	case hit:
+		hits.Add(1)
+	default:
+		builds.Add(1)
+	}
+	return v, hit, err
 }
 
 // Len reports the number of cached values (testing hook).

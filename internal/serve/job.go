@@ -10,7 +10,6 @@ import (
 	"rotaryclk/internal/assign"
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/obs"
 	"rotaryclk/internal/placer"
 )
 
@@ -185,114 +184,58 @@ type JobResponse struct {
 	Trace    string          `json:"trace,omitempty"`
 }
 
-// execute runs one admitted job start to finish: generate the circuit, pick
-// up (or build) the shared template, run the flow under the job's token and
-// registry, and translate the outcome into an HTTP response. A panic
-// anywhere in the solver stack is confined to this job.
-func (s *Server) execute(j *job) {
-	// Latency counts from admission, like the deadline does: queue wait is
-	// time the caller spent waiting, so p99 must include it.
-	start := j.admitted
-	defer func() {
-		s.mu.Lock()
-		delete(s.active, j)
-		s.mu.Unlock()
-		j.release()
-		close(j.done)
-	}()
+func (r *JobRequest) fields() requestFields {
+	return requestFields{r.Rings, r.Iters, r.DeadlineMS, r.Strict, r.Telemetry}
+}
 
-	c, err := netlist.Generate(j.req.spec())
+// prepare generates the job's circuit, picks up (or builds) the shared
+// template for its spec, and binds the flow to both.
+func (r *JobRequest) prepare(s *Server, cfg core.Config) (func() (reply, error), int, error) {
+	c, err := netlist.Generate(r.spec())
 	if err != nil {
-		j.status, j.errMsg = 400, fmt.Sprintf("generating circuit: %v", err)
-		s.stats.add(&s.stats.failed, 1)
-		return
+		return nil, 400, fmt.Errorf("generating circuit: %v", err)
 	}
-	tmpl, hit, err := s.templates.get(j.req.templateKey(), func() (*template, error) {
-		return buildTemplate(j.req)
-	})
+	tmpl, hit, err := s.templates.lookup(r.templateKey(), func() (*template, error) {
+		return buildTemplate(r)
+	}, &s.stats.templateBuilds, &s.stats.templateHits)
 	if err != nil {
-		j.status, j.errMsg = 500, fmt.Sprintf("building placement template: %v", err)
-		s.stats.add(&s.stats.failed, 1)
-		return
+		return nil, 500, fmt.Errorf("building placement template: %v", err)
 	}
-	if hit {
-		s.stats.add(&s.stats.templateHits, 1)
-	} else {
-		s.stats.add(&s.stats.templateBuilds, 1)
-	}
-
-	reg := obs.NewRegistry()
-	cfg := core.Config{
-		NumRings:    rings(j.req.Rings),
-		MaxIters:    j.req.Iters,
-		Strict:      j.req.Strict,
-		Parallelism: s.perJobWorkers(),
-		Obs:         reg,
-		Stop:        j.tok,
-		System:      tmpl.sys,
-		TapCache:    tmpl.tap,
-	}
-	if j.req.Assigner == "ilp" {
+	cfg.System, cfg.TapCache = tmpl.sys, tmpl.tap
+	if r.Assigner == "ilp" {
 		cfg.Assigner = core.ILP
 	}
-	if j.req.Objective == "sum" {
+	if r.Objective == "sum" {
 		cfg.Objective = core.WeightedSum
 	}
-
-	res, runErr, panicked := protect(func() (*core.Result, error) { return s.runFlow(c, cfg) })
-	elapsed := time.Since(start)
-	if panicked {
-		s.stats.add(&s.stats.panics, 1)
-		j.status, j.errMsg = 500, fmt.Sprintf("job panicked: %v", runErr)
-		return
-	}
-	if runErr != nil {
-		// Only strict jobs and genuinely broken instances land here; a
-		// deadline in non-strict mode comes back as a degraded result.
-		s.stats.add(&s.stats.failed, 1)
-		j.status, j.errMsg = 422, runErr.Error()
-		return
-	}
-
-	resp := &JobResponse{
-		Circuit:     c.Name,
-		Degraded:    res.Degraded,
-		Iterations:  res.Iterations,
-		MaxSlackPS:  sanitize(res.MaxSlack),
-		Base:        sanitizeMetrics(res.Base),
-		Final:       sanitizeMetrics(res.Final),
-		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
-		TemplateHit: hit,
-	}
-	deadlined := false
-	for _, ev := range res.Events {
-		e := JobEvent{Stage: ev.Stage, Iter: ev.Iter, Kind: ev.Kind.String(), Action: ev.Action}
-		if ev.Err != nil {
-			e.Err = ev.Err.Error()
+	return func() (reply, error) {
+		res, err := s.runFlow(c, cfg)
+		if err != nil {
+			return nil, err
 		}
-		resp.Events = append(resp.Events, e)
-		switch ev.Kind {
-		case core.DeadlineExceeded:
-			deadlined = true
-		case core.Canceled:
-			deadlined = true
+		resp := &JobResponse{
+			Circuit:     c.Name,
+			Degraded:    res.Degraded,
+			Iterations:  res.Iterations,
+			MaxSlackPS:  sanitize(res.MaxSlack),
+			Base:        sanitizeMetrics(res.Base),
+			Final:       sanitizeMetrics(res.Final),
+			TemplateHit: hit,
 		}
-	}
-	if j.req.Telemetry {
-		snap := reg.Snapshot()
-		resp.Counters = json.RawMessage(snap.CountersJSON())
-		resp.Trace = snap.Text()
-	}
-	j.status, j.resp = 200, resp
+		for _, ev := range res.Events {
+			e := JobEvent{Stage: ev.Stage, Iter: ev.Iter, Kind: ev.Kind.String(), Action: ev.Action}
+			if ev.Err != nil {
+				e.Err = ev.Err.Error()
+			}
+			resp.Events = append(resp.Events, e)
+		}
+		return resp, nil
+	}, 0, nil
+}
 
-	s.stats.add(&s.stats.completed, 1)
-	if res.Degraded {
-		s.stats.add(&s.stats.degraded, 1)
-	}
-	if deadlined {
-		s.stats.add(&s.stats.deadlined, 1)
-	}
-	s.stats.observe(elapsed)
+func (r *JobResponse) stamp(elapsedMS float64, counters json.RawMessage, trace string) bool {
+	r.ElapsedMS, r.Counters, r.Trace = elapsedMS, counters, trace
+	return r.Degraded
 }
 
 // perJobWorkers carves the shared kernel-worker budget across the pool.

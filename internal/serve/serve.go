@@ -17,7 +17,7 @@
 //   - Amortization: the expensive immutable state — the quadratic placement
 //     system's CSR connectivity and the tapping-solve cache — is built once
 //     per circuit spec behind a singleflight guard and shared by every job
-//     with that spec (see template.go).
+//     with that spec (see flight.go).
 //
 // The server is an http.Handler; cmd/rotaryd wires it to a listener and the
 // process lifecycle (SIGTERM -> Drain -> exit 0).
@@ -37,6 +37,7 @@ import (
 	"rotaryclk/internal/core"
 	"rotaryclk/internal/eco"
 	"rotaryclk/internal/netlist"
+	"rotaryclk/internal/obs"
 	"rotaryclk/internal/stop"
 )
 
@@ -91,23 +92,46 @@ func (c *Config) limits() Limits {
 }
 
 // job is one admitted request flowing from the handler goroutine through the
-// queue to a worker and back — a placement job (req) or an ECO request
-// (ecoReq); exactly one is set. The handler blocks on done; the worker owns
+// queue to a worker and back. The handler blocks on done; the worker owns
 // every other field until it closes done.
 type job struct {
-	req      *JobRequest
-	ecoReq   *ECORequest
+	req      request
 	tok      *stop.Token
 	release  func()
 	admitted time.Time
 
-	// Filled by the worker before close(done): resp is a *JobResponse or an
-	// *ECOResponse on success, nil with status/errMsg on failure.
+	// Filled by the worker before close(done): resp on success, nil with
+	// status/errMsg on failure.
 	status int
-	resp   any
+	resp   reply
 	errMsg string
 
 	done chan struct{}
+}
+
+// request is one parsed POST body, a *JobRequest or an *ECORequest. Every
+// kind runs through one handler and one executor; a kind supplies only its
+// shared fields, its cache lookup and its solver call.
+type request interface {
+	fields() requestFields
+	// prepare picks up (or builds) the request's shared state and binds its
+	// solver call to cfg, which arrives with the fields every kind shares
+	// set. The call returns the filled response; the executor runs it under
+	// the panic guard. A prepare failure is answered with its status.
+	prepare(s *Server, cfg core.Config) (solve func() (reply, error), status int, err error)
+}
+
+// requestFields are the knobs every request kind carries.
+type requestFields struct {
+	rings, iters, deadlineMS int
+	strict, telemetry        bool
+}
+
+// reply is the wire body of a completed request.
+type reply interface {
+	// stamp fills the fields the executor owns — latency and the telemetry
+	// payload — and reports whether the result is degraded.
+	stamp(elapsedMS float64, counters json.RawMessage, trace string) (degraded bool)
 }
 
 // Server is the placement service. Create with New, serve it as an
@@ -149,8 +173,8 @@ func New(cfg Config) *Server {
 	}
 	s.templates.init()
 	s.ecoBases.init()
-	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("/v1/eco", s.handleECO)
+	s.mux.HandleFunc("/v1/jobs", handle(s, ParseJobRequest))
+	s.mux.HandleFunc("/v1/eco", handle(s, ParseECORequest))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	for i := 0; i < cfg.Workers; i++ {
@@ -167,11 +191,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for j := range s.queue {
-		if j.ecoReq != nil {
-			s.executeECO(j)
-		} else {
-			s.execute(j)
-		}
+		s.execute(j)
 	}
 }
 
@@ -208,7 +228,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		forced++
 	}
 	s.mu.Unlock()
-	s.stats.add(&s.stats.drainForced, int64(forced))
+	s.stats.drainForced.Add(int64(forced))
 	<-done
 	return nil
 }
@@ -220,29 +240,101 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// handleJobs admits, runs, and answers one placement job synchronously.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+// handle is the HTTP handler of both POST routes, which differ only in the
+// parser: it reads the bounded body, parses it, arms the request's deadline
+// token at admission (so queue wait counts against it), admits, and then
+// awaits the worker and replies.
+func handle[R request](s *Server, parse func([]byte, Limits) (R, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		if err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
+			return
+		}
+		req, err := parse(body, s.cfg.limits())
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+
+		tok, release := stop.WithTimeout(deadline(req.fields().deadlineMS, s.cfg.DefaultDeadline))
+		j := &job{req: req, tok: tok, release: release, admitted: time.Now(), done: make(chan struct{})}
+		if !s.admit(w, j) {
+			return
+		}
+		s.awaitAndReply(w, j)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+}
+
+// execute runs one admitted request start to finish under its token and a
+// fresh registry: the kind's prepare and solver call, the panic guard (500)
+// and the error mapping (422), telemetry, and the completion stats. A
+// request whose token fired counts as deadlined whatever its kind, strict
+// failures aside.
+func (s *Server) execute(j *job) {
+	defer func() {
+		s.mu.Lock()
+		delete(s.active, j)
+		s.mu.Unlock()
+		j.release()
+		close(j.done)
+	}()
+
+	f := j.req.fields()
+	reg := obs.NewRegistry()
+	solve, status, err := j.req.prepare(s, core.Config{
+		NumRings:    rings(f.rings),
+		MaxIters:    f.iters,
+		Strict:      f.strict,
+		Parallelism: s.perJobWorkers(),
+		Obs:         reg,
+		Stop:        j.tok,
+	})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
-		return
-	}
-	req, err := ParseJobRequest(body, s.cfg.limits())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		s.stats.failed.Add(1)
+		j.status, j.errMsg = status, err.Error()
 		return
 	}
 
-	tok, release := stop.WithTimeout(deadline(req.DeadlineMS, s.cfg.DefaultDeadline))
-	j := &job{req: req, tok: tok, release: release, admitted: time.Now(), done: make(chan struct{})}
-	if !s.admit(w, j) {
+	resp, runErr, panicked := protect(solve)
+	// Latency counts from admission, like the deadline does: queue wait is
+	// time the caller spent waiting, so p99 must include it.
+	elapsed := time.Since(j.admitted)
+	if panicked {
+		s.stats.panics.Add(1)
+		j.status, j.errMsg = 500, fmt.Sprintf("job panicked: %v", runErr)
 		return
 	}
-	s.awaitAndReply(w, j)
+	if runErr != nil {
+		// Only strict requests, invalid deltas and genuinely broken
+		// instances land here; a deadline in non-strict mode comes back as a
+		// degraded result.
+		s.stats.failed.Add(1)
+		j.status, j.errMsg = 422, runErr.Error()
+		return
+	}
+
+	var counters json.RawMessage
+	var trace string
+	if f.telemetry {
+		snap := reg.Snapshot()
+		counters, trace = json.RawMessage(snap.CountersJSON()), snap.Text()
+	}
+	degraded := resp.stamp(float64(elapsed)/float64(time.Millisecond), counters, trace)
+	j.status, j.resp = 200, resp
+
+	s.stats.completed.Add(1)
+	if degraded {
+		s.stats.degraded.Add(1)
+	}
+	if j.tok.Stopped() {
+		s.stats.deadlined.Add(1)
+	}
+	s.stats.observe(elapsed)
 }
 
 // admit enqueues one job under the admission rules — draining rejects with
@@ -253,7 +345,7 @@ func (s *Server) admit(w http.ResponseWriter, j *job) bool {
 	if s.draining {
 		s.mu.Unlock()
 		j.release()
-		s.stats.add(&s.stats.rejectedDraining, 1)
+		s.stats.rejectedDraining.Add(1)
 		w.Header().Set("Retry-After", "5")
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return false
@@ -265,12 +357,12 @@ func (s *Server) admit(w http.ResponseWriter, j *job) bool {
 	default:
 		s.mu.Unlock()
 		j.release()
-		s.stats.add(&s.stats.shed, 1)
+		s.stats.shed.Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "job queue full")
 		return false
 	}
-	s.stats.add(&s.stats.admitted, 1)
+	s.stats.admitted.Add(1)
 	return true
 }
 

@@ -293,6 +293,35 @@ func TestRealDeadlineDegrades(t *testing.T) {
 	}
 }
 
+// TestJobDeadlineCounted: a non-strict placement job whose deadline fires
+// answers a degraded 200 and counts once in deadline_exceeded, the same rule
+// the ECO route follows.
+func TestJobDeadlineCounted(t *testing.T) {
+	s := New(testConfig())
+	defer drainNow(t, s)
+	realFlow := s.runFlow
+	s.runFlow = func(c *netlist.Circuit, cfg core.Config) (*core.Result, error) {
+		for !cfg.Stop.Stopped() {
+			time.Sleep(time.Millisecond)
+		}
+		return realFlow(c, cfg)
+	}
+	rr := post(s, `{"circuit":{"cells":60,"flipflops":8,"seed":1},"deadline_ms":1}`)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status %d body %s", rr.Code, rr.Body)
+	}
+	var resp JobResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Degraded {
+		t.Errorf("deadlined job not degraded: %+v", resp)
+	}
+	if got := s.stats.deadlined.Load(); got != 1 {
+		t.Errorf("deadlined = %d, want 1", got)
+	}
+}
+
 // TestConcurrentDeterminism: two identical jobs racing on the same template
 // and tapping cache must report bit-identical deterministic counters — the
 // per-job registry isolation and the cache's counter discipline guarantee

@@ -37,8 +37,6 @@ type stats struct {
 	count int64              // total observations (ring index = count % latWindow)
 }
 
-func (s *stats) add(c *atomic.Int64, n int64) { c.Add(n) }
-
 // observe records one completed-job latency.
 func (s *stats) observe(d time.Duration) {
 	ms := float64(d) / float64(time.Millisecond)

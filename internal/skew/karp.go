@@ -29,7 +29,7 @@ func minCycleMean(tok *stop.Token, n int, cons []DiffConstraint) (float64, error
 	}
 	edges := make([]edge, 0, len(cons))
 	for _, c := range cons {
-		// Relaxation edge V -> U with weight Bound (see Feasible).
+		// Relaxation edge V -> U with weight Bound (see relax).
 		edges = append(edges, edge{from: c.V, to: c.U, w: c.Bound})
 	}
 

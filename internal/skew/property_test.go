@@ -36,8 +36,8 @@ func TestPropertyFeasibleCertificatesVerifyWithinEps(t *testing.T) {
 	// safe to run concurrently with each other.
 	t.Parallel()
 	rng := rand.New(rand.NewSource(45))
-	feasible := 0
-	for trial := 0; feasible < 40 && trial < 400; trial++ {
+	found := 0
+	for trial := 0; found < 40 && trial < 400; trial++ {
 		n := 2 + rng.Intn(7)
 		var cons []DiffConstraint
 		if trial%2 == 0 {
@@ -55,17 +55,17 @@ func TestPropertyFeasibleCertificatesVerifyWithinEps(t *testing.T) {
 			m := (rng.Float64() - 0.5) * propT
 			cons = Constraints(pairs, propT, m, propSetup, propHold)
 		}
-		tt, ok := Feasible(n, cons)
+		tt, ok, _ := feasible(nil, n, cons)
 		if !ok {
 			continue
 		}
-		feasible++
+		found++
 		if v := Verify(tt, cons); v > Eps {
-			t.Fatalf("trial %d: Feasible certificate violates constraints by %v > Eps", trial, v)
+			t.Fatalf("trial %d: feasibility certificate violates constraints by %v > Eps", trial, v)
 		}
 	}
-	if feasible < 40 {
-		t.Fatalf("only %d feasible systems generated; property undersampled", feasible)
+	if found < 40 {
+		t.Fatalf("only %d feasible systems generated; property undersampled", found)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestPropertyMaxSlackAchievesItsSlack(t *testing.T) {
 			t.Fatalf("trial %d: M=%v but negative slack %v", trials, M, worst)
 		}
 		// And M is maximal: no uniform slack M + 2*tol is feasible.
-		if _, ok := Feasible(n, Constraints(pairs, propT, M+10*propTol, propSetup, propHold)); ok {
+		if _, ok, _ := feasible(nil, n, Constraints(pairs, propT, M+10*propTol, propSetup, propHold)); ok {
 			t.Fatalf("trial %d: M=%v is not maximal", trials, M)
 		}
 	}

@@ -24,7 +24,7 @@ func TestQuickFeasibleVsLP(t *testing.T) {
 				cons = append(cons, DiffConstraint{U: u, V: v, Bound: float64(rng.Intn(21) - 10)})
 			}
 		}
-		tt, ok := Feasible(n, cons)
+		tt, ok, _ := feasible(nil, n, cons)
 		if ok && Verify(tt, cons) > 1e-9 {
 			return false
 		}

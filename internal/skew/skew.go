@@ -18,7 +18,7 @@
 // an expected outcome and is returned as an error wrapping ErrInfeasible.
 // Panics are reserved for API misuse independent of the data — a constraint
 // referencing a variable outside [0,n) is a bug in the caller's index
-// mapping, not a property of the instance, and panics in Feasible.
+// mapping, not a property of the instance, and panics in the relaxation.
 package skew
 
 import (
@@ -69,35 +69,50 @@ func Constraints(pairs []SeqPair, T, M, setup, hold float64) []DiffConstraint {
 	return cons
 }
 
-// Eps is the package's shared feasibility tolerance. Feasible stops
-// relaxing once no constraint improves by more than Eps, so the potentials
+// Eps is the package's shared feasibility tolerance. The relaxation stops
+// once no constraint improves by more than Eps, so the potentials
 // it certifies may violate a constraint by up to Eps — which is exactly the
 // slop Verify's callers must allow: a schedule is feasible-within-tolerance
 // when Verify(t, cons) <= Eps. Both functions reference this one constant
 // so the relaxation slop and the verification threshold cannot drift apart.
 const Eps = 1e-9
 
-// Feasible solves the difference-constraint system over n variables with
+// feasible solves the difference-constraint system over n variables with
 // Bellman-Ford. On success it returns a satisfying assignment (shortest-path
 // potentials, shifted so the minimum is zero); the assignment satisfies
 // every constraint to within Eps. Constraints referencing variables outside
-// [0,n) cause a panic.
-func Feasible(n int, cons []DiffConstraint) ([]float64, bool) {
-	t, ok, _ := feasible(nil, n, cons)
-	return t, ok
-}
-
-// feasible is Feasible with a cooperative stop token checked once per
-// Bellman-Ford round (each round is O(m) work). A fired token abandons the
-// relaxation and reports the stop error; the partial distance vector is not
-// a certificate and is discarded.
+// [0,n) cause a panic. The stop token (nil for none) is checked once per
+// Bellman-Ford round (each round is O(m) work); a fired token abandons the
+// relaxation and reports the stop error, and the partial distance vector is
+// not a certificate and is discarded.
 func feasible(tok *stop.Token, n int, cons []DiffConstraint) ([]float64, bool, error) {
 	// Virtual source with zero-weight edges to every node is equivalent to
 	// initializing all distances to zero.
 	dist := make([]float64, n)
+	_, ok, err := relax(tok, dist, cons)
+	if err != nil {
+		return nil, false, fmt.Errorf("skew: feasibility check: %w", err)
+	}
+	if !ok {
+		return nil, false, nil
+	}
+	normalize(dist)
+	return dist, true, nil
+}
+
+// relax is the one Bellman-Ford kernel over a difference-constraint system:
+// it relaxes dist in place from whatever the caller put there (zeros for a
+// cold check, a previous schedule for a warm repair), one pass over cons per
+// round, until a round improves nothing by more than Eps. It returns the
+// rounds run (the clean round included), ok=false when n+1 rounds all
+// improved (a negative constraint cycle), or the unwrapped stop error with
+// the round it fired before. Constraints referencing variables outside
+// [0,len(dist)) panic.
+func relax(tok *stop.Token, dist []float64, cons []DiffConstraint) (rounds int, ok bool, err error) {
+	n := len(dist)
 	for iter := 0; iter <= n; iter++ {
 		if err := stop.Check(tok, faultinject.SiteSkewIterCancel); err != nil {
-			return nil, false, fmt.Errorf("skew: feasibility check: %w", err)
+			return iter, false, err
 		}
 		changed := false
 		for _, c := range cons {
@@ -111,11 +126,10 @@ func feasible(tok *stop.Token, n int, cons []DiffConstraint) ([]float64, bool, e
 			}
 		}
 		if !changed {
-			normalize(dist)
-			return dist, true, nil
+			return iter + 1, true, nil
 		}
 	}
-	return nil, false, nil
+	return n + 1, false, nil
 }
 
 func normalize(t []float64) {
@@ -413,7 +427,7 @@ func WeightedSumStop(tok *stop.Token, n int, cons []DiffConstraint, targets []fl
 
 // Verify checks a schedule against the difference constraints, returning
 // the worst violation: <= 0 means feasible, and certificates produced by
-// Feasible may legitimately violate by up to Eps (compare against Eps, not
+// the relaxation may legitimately violate by up to Eps (compare against Eps, not
 // 0, when verifying them). A self-loop constraint 0 <= Bound contributes a
 // violation of -Bound only when violated (Bound < 0); satisfied self-loops
 // constrain nothing and are skipped. An empty constraint set — or one whose

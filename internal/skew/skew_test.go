@@ -29,7 +29,7 @@ func TestFeasibleSimple(t *testing.T) {
 		{U: 0, V: 1, Bound: 5},  // t0 - t1 <= 5
 		{U: 1, V: 0, Bound: -2}, // t1 - t0 <= -2 => t0 >= t1 + 2
 	}
-	tt, ok := Feasible(2, cons)
+	tt, ok, _ := feasible(nil, 2, cons)
 	if !ok {
 		t.Fatal("feasible system reported infeasible")
 	}
@@ -47,22 +47,22 @@ func TestFeasibleInfeasible(t *testing.T) {
 		{U: 0, V: 1, Bound: -3}, // t0 <= t1 - 3
 		{U: 1, V: 0, Bound: -3}, // t1 <= t0 - 3 => contradiction
 	}
-	if _, ok := Feasible(2, cons); ok {
+	if _, ok, _ := feasible(nil, 2, cons); ok {
 		t.Fatal("infeasible system reported feasible")
 	}
 }
 
 func TestFeasibleSelfLoop(t *testing.T) {
-	if _, ok := Feasible(1, []DiffConstraint{{U: 0, V: 0, Bound: -1}}); ok {
+	if _, ok, _ := feasible(nil, 1, []DiffConstraint{{U: 0, V: 0, Bound: -1}}); ok {
 		t.Fatal("negative self-loop must be infeasible")
 	}
-	if _, ok := Feasible(1, []DiffConstraint{{U: 0, V: 0, Bound: 1}}); !ok {
+	if _, ok, _ := feasible(nil, 1, []DiffConstraint{{U: 0, V: 0, Bound: 1}}); !ok {
 		t.Fatal("positive self-loop must be feasible")
 	}
 }
 
 func TestFeasibleNormalized(t *testing.T) {
-	tt, ok := Feasible(3, []DiffConstraint{{U: 0, V: 1, Bound: -10}})
+	tt, ok, _ := feasible(nil, 3, []DiffConstraint{{U: 0, V: 1, Bound: -10}})
 	if !ok {
 		t.Fatal("infeasible")
 	}
@@ -282,7 +282,7 @@ func TestWeightedSumVsLP(t *testing.T) {
 				cons = append(cons, DiffConstraint{U: u, V: v, Bound: float64(rng.Intn(300)) - 50})
 			}
 		}
-		if _, ok := Feasible(n, cons); !ok {
+		if _, ok, _ := feasible(nil, n, cons); !ok {
 			continue
 		}
 		targets := make([]float64, n)

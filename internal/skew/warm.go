@@ -3,7 +3,6 @@ package skew
 import (
 	"fmt"
 
-	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/stop"
 )
 
@@ -22,7 +21,8 @@ import (
 // batched. It returns the repaired schedule, the number of relaxation
 // rounds, and ok=false when the system is infeasible (negative constraint
 // cycle); the seed is never mutated. A seed of the wrong length or a
-// constraint referencing variables outside [0,n) panics, matching Feasible.
+// constraint referencing variables outside [0,n) panics, matching the cold
+// feasibility check; both run the same relaxation kernel.
 //
 // The optional stop token (nil for none) is checked once per relaxation
 // round. A fired token abandons the repair and reports the stop error; the
@@ -33,23 +33,12 @@ func WarmStart(tok *stop.Token, n int, cons []DiffConstraint, seed []float64) ([
 	}
 	dist := make([]float64, n)
 	copy(dist, seed)
-	for iter := 0; iter <= n; iter++ {
-		if err := stop.Check(tok, faultinject.SiteSkewIterCancel); err != nil {
-			return nil, iter, false, fmt.Errorf("skew: warm-start repair: %w", err)
-		}
-		changed := false
-		for _, c := range cons {
-			if c.U < 0 || c.U >= n || c.V < 0 || c.V >= n {
-				panic(fmt.Sprintf("skew: constraint %+v out of range n=%d", c, n))
-			}
-			if nd := dist[c.V] + c.Bound; nd < dist[c.U]-Eps {
-				dist[c.U] = nd
-				changed = true
-			}
-		}
-		if !changed {
-			return dist, iter + 1, true, nil
-		}
+	rounds, ok, err := relax(tok, dist, cons)
+	if err != nil {
+		return nil, rounds, false, fmt.Errorf("skew: warm-start repair: %w", err)
 	}
-	return nil, n + 1, false, nil
+	if !ok {
+		return nil, rounds, false, nil
+	}
+	return dist, rounds, true, nil
 }

@@ -10,7 +10,8 @@
 #   scripts/ci.sh serve   end-to-end daemon smoke: rotaryd under rotaryload
 #                         (concurrent jobs, zero failures), a deadline-bound
 #                         oversized job that must degrade within its budget,
-#                         and SIGTERM -> graceful drain -> exit 0
+#                         concurrent /v1/eco edits (zero failures), and
+#                         SIGTERM -> graceful drain -> exit 0
 #   scripts/ci.sh bench   run the benchmark suite with -benchmem and record
 #                         it as BENCH_baseline.json so future PRs have a
 #                         perf trajectory to compare against
@@ -33,7 +34,9 @@
 #                         the full geometric sweep is `make scaling`
 #                         (cmd/rotaryscale -> BENCH_scaling.json)
 #   scripts/ci.sh eco     ECO smoke: the ECO outcome golden, the corrupted-
-#                         patch oracle negative, then 20 random single-delta
+#                         patch oracle negative, the cold-versus-warm kernel
+#                         tests (skew warm start, assignment patch, mcmf
+#                         preload + cycle canceling), then 20 random single-delta
 #                         edits at 20k cells through the incremental path, every edit
 #                         proven equivalent to the from-scratch arm, mean
 #                         edit latency at least 5x faster than a full
@@ -54,8 +57,9 @@
 #                         surface test, and the Table VIII worst-slack
 #                         acceptance run (improvement on >= 2 circuits)
 #   scripts/ci.sh golden  run only the golden regression harnesses, Tables
-#                         I-VIII and the ECO outcome golden (UPDATE=1
-#                         re-records both after a reviewed change)
+#                         I-VIII, the ECO outcome golden and the serve wire
+#                         golden (UPDATE=1 re-records them after a reviewed
+#                         change)
 #   scripts/ci.sh cover   go test -cover over every package; fails if total
 #                         statement coverage drops more than 2 points below
 #                         the recorded COVERAGE_baseline.txt (UPDATE=1
@@ -99,7 +103,8 @@ fuzz)
 serve)
     # End-to-end daemon smoke: build rotaryd + rotaryload, drive a small
     # concurrent load (zero failures tolerated), prove a deadline-bound big
-    # job degrades instead of stalling, then SIGTERM mid-life and require a
+    # job degrades instead of stalling, drive concurrent ECO edits through
+    # /v1/eco (zero failures tolerated), then SIGTERM mid-life and require a
     # clean drain (exit 0).
     bin="$(mktemp -d)"
     trap 'rm -rf "$bin"' EXIT
@@ -120,9 +125,10 @@ serve)
     addr="$(cat "$bin/addr")"
     "$bin/rotaryload" -addr "$addr" -n 12 -c 8 -cells 800 -iters 2 -seed 1
     "$bin/rotaryload" -addr "$addr" -n 2 -c 2 -cells 20000 -iters 2 -deadline-ms 200 -max-p99-ms 5000 -seed 99
+    "$bin/rotaryload" -addr "$addr" -eco -n 8 -c 4 -cells 800 -iters 2 -seed 1
     kill -TERM "$pid"
     wait "$pid"
-    echo "serve smoke: load + deadline degradation + graceful drain ok"
+    echo "serve smoke: load + deadline degradation + eco edits + graceful drain ok"
     ;;
 oracle)
     seeds="${SEEDS:-25}"
@@ -226,6 +232,9 @@ eco)
     timeout="${ECO_TIMEOUT:-15m}"
     go test ./internal/eco/ -run '^TestGoldenECO$' -count=1
     go test ./internal/oracle/ -run '^TestFaultECODetected$' -count=1
+    go test ./internal/skew/ -run '^TestWarmStart' -count=1
+    go test ./internal/assign/ -run '^TestPatchMinCost' -count=1
+    go test ./internal/mcmf/ -run '^(TestPreloadCancelAugmentMatchesScratch|TestCancelNegativeCycles)' -count=1
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
     ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
         -run '^TestECOSmoke20k$' -count=1 -v ./internal/bench/
@@ -244,11 +253,12 @@ timing)
     go test -timeout 20m ./internal/exp/ -run '^(TestTimingSmoke|TestVarPairsSurfacesAnalysisError)$' -count=1 -v
     ;;
 golden)
-    # Tables I-VIII (internal/exp) and the ECO outcome golden (internal/eco).
+    # Tables I-VIII (internal/exp), the ECO outcome golden (internal/eco)
+    # and the serve wire golden (internal/serve).
     if [ "${UPDATE:-0}" = "1" ]; then
-        go test ./internal/exp ./internal/eco -run '^TestGolden' -count=1 -update
+        go test ./internal/exp ./internal/eco ./internal/serve -run '^TestGolden' -count=1 -update
     else
-        go test ./internal/exp ./internal/eco -run '^TestGolden' -count=1
+        go test ./internal/exp ./internal/eco ./internal/serve -run '^TestGolden' -count=1
     fi
     ;;
 cover)
