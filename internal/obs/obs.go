@@ -17,7 +17,9 @@
 //     every circuit run its own registry.
 //   - Global: Enable() installs a process-wide default that Resolve(nil)
 //     returns; packages with no natural options struct on the hot path
-//     (par, rotary) record there. The CLIs arm it for -metrics/-trace.
+//     (par, rotary) record there. No CLI arms it: rotaryflow and
+//     rotarytables pass explicit registries, so those records are dropped
+//     there; tests arm it (core/obs_test.go) to observe them.
 //
 // Metric classes and the determinism contract (DESIGN.md section 9):
 //
@@ -45,7 +47,7 @@ var def atomic.Pointer[Registry]
 
 // Enable installs a fresh global default registry and returns it. Subsequent
 // Resolve(nil) calls return it until Disable (or another Enable). Typical
-// CLI use: reg := obs.Enable(); defer writeMetrics(reg.Snapshot()).
+// use: reg := obs.Enable(); defer obs.Disable(); then read reg.Snapshot().
 func Enable() *Registry {
 	r := NewRegistry()
 	def.Store(r)

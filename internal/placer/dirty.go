@@ -7,6 +7,7 @@ package placer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rotaryclk/internal/faultinject"
@@ -54,59 +55,29 @@ func (s *System) PatchNet(netID int, oldPins []int) (*System, bool, error) {
 	starIdx := s.nMov + starOf[netID]
 
 	// Affected rows: every movable pin of the old and new pin lists (the
-	// star weight k/(k-1)/2 changed for all of them) plus the star row.
+	// star weight k/(k-1)/2 changed for all of them) plus the star row. A
+	// movable pin gained (lost) adds (removes) one entry in its own row and
+	// one in the star row; fixed pins carry no CSR entries (they fold into
+	// the base RHS).
 	affected := map[int]bool{starIdx: true}
-	for _, pid := range oldPins {
-		if i, ok := s.idx[pid]; ok {
-			affected[i] = true
-		}
-	}
-	for _, pid := range newPins {
-		if i, ok := s.idx[pid]; ok {
-			affected[i] = true
-		}
-	}
-
-	// Per-row entry-count deltas from the pin diff: a movable pin gained
-	// (lost) adds (removes) one entry in its own row and one in the star
-	// row. Fixed pins carry no CSR entries (they fold into the base RHS).
-	diff := map[int]int{}
-	for _, pid := range oldPins {
-		diff[pid]--
-	}
-	for _, pid := range newPins {
-		diff[pid]++
-	}
 	degDelta := map[int]int{}
-	for pid, d := range diff {
-		if d == 0 {
-			continue
-		}
-		if i, ok := s.idx[pid]; ok {
-			degDelta[i] += d
-			degDelta[starIdx] += d
+	count := func(pins []int, d int) {
+		for _, pid := range pins {
+			if i, ok := s.idx[pid]; ok {
+				affected[i] = true
+				degDelta[i] += d
+				degDelta[starIdx] += d
+			}
 		}
 	}
+	count(oldPins, -1)
+	count(newPins, +1)
 
 	n := s.n
-	ns := &System{
-		c:        c,
-		n:        n,
-		nMov:     s.nMov,
-		rowStart: make([]int32, n+1),
-		baseDiag: make([]float64, n),
-		baseBx:   make([]float64, n),
-		baseBy:   make([]float64, n),
-		starRow:  make([]int32, len(s.starRow)),
-		cells:    s.cells,
-		idx:      s.idx,
-		diag:     make([]float64, n),
-		bx:       make([]float64, n),
-		by:       make([]float64, n),
-		posX:     make([]float64, n),
-		posY:     make([]float64, n),
-		obs:      s.obs,
-	}
+	ns := s.shared(c)
+	ns.rowStart = make([]int32, n+1)
+	ns.baseDiag, ns.baseBx, ns.baseBy = slices.Clone(s.baseDiag), slices.Clone(s.baseBx), slices.Clone(s.baseBy)
+	ns.starRow = slices.Clone(s.starRow)
 	for i := 0; i < n; i++ {
 		deg := int(s.rowStart[i+1]-s.rowStart[i]) + degDelta[i]
 		ns.rowStart[i+1] = ns.rowStart[i] + int32(deg)
@@ -114,10 +85,6 @@ func (s *System) PatchNet(netID int, oldPins []int) (*System, bool, error) {
 	total := int(ns.rowStart[n])
 	ns.cols = make([]int32, total)
 	ns.w = make([]float64, total)
-	ns.wcur = ns.w
-	copy(ns.baseDiag, s.baseDiag)
-	copy(ns.baseBx, s.baseBx)
-	copy(ns.baseBy, s.baseBy)
 
 	// Unaffected rows: block-copy entries (offsets may have shifted).
 	for i := 0; i < n; i++ {
@@ -131,73 +98,27 @@ func (s *System) PatchNet(netID int, oldPins []int) (*System, bool, error) {
 		copy(ns.w[dst:dst+cnt], s.w[src:src+cnt])
 	}
 
-	// Affected rows: recompute from the edited circuit in NewSystem's
-	// traversal order. A cell row's entries appear in ascending incident
-	// net order (the fill pass walks nets in ID order); a star row's in the
-	// net's pin order.
+	// Affected rows: re-emit the terms of every net incident to the row, in
+	// ascending net order as NewSystem's fill pass walks them, keeping only
+	// the terms that land in the row. A star row's only net is the edited
+	// one.
+	fill := &rowFill{diagRHS: ns.base(), cols: ns.cols, w: ns.w, next: slices.Clone(ns.rowStart[:n])}
 	for i := range affected {
-		ns.baseDiag[i] = 0
-		ns.baseBx[i] = 0
-		ns.baseBy[i] = 0
-		at := ns.rowStart[i]
-		put := func(j int, w float64) {
-			ns.cols[at] = int32(j)
-			ns.w[at] = w
-			at++
-		}
-		if i >= s.nMov {
-			// Star row: the edited net's pins in order.
-			net := c.Nets[netID]
-			k := len(net.Pins)
-			w := float64(k) / float64(k-1) / 2
-			for _, pid := range net.Pins {
-				if ip, ok := s.idx[pid]; ok {
-					ns.baseDiag[i] += w
-					put(ip, w)
-				} else {
-					pos := c.Cells[pid].Pos
-					ns.baseDiag[i] += w
-					ns.baseBx[i] += w * pos.X
-					ns.baseBy[i] += w * pos.Y
-				}
+		ns.baseDiag[i], ns.baseBx[i], ns.baseBy[i] = 0, 0, 0
+		nets := []int{netID}
+		if i < s.nMov {
+			cell := c.Cells[s.cells[i]]
+			nets = slices.Clone(cell.Fanin)
+			if cell.Fanout >= 0 {
+				nets = append(nets, cell.Fanout)
 			}
-			continue
+			slices.Sort(nets)
+			nets = slices.Compact(nets)
 		}
-		cid := s.cells[i]
-		cell := c.Cells[cid]
-		nets := make([]int, 0, len(cell.Fanin)+1)
-		nets = append(nets, cell.Fanin...)
-		if cell.Fanout >= 0 {
-			nets = append(nets, cell.Fanout)
-		}
-		sort.Ints(nets)
 		for _, e := range nets {
-			net := c.Nets[e]
-			k := len(net.Pins)
-			if k < 2 {
-				continue
-			}
-			if k == 2 {
-				other := net.Pins[0]
-				if other == cid {
-					other = net.Pins[1]
-				}
-				if j, ok := s.idx[other]; ok {
-					ns.baseDiag[i]++
-					put(j, 1)
-				} else {
-					pos := c.Cells[other].Pos
-					ns.baseDiag[i]++
-					ns.baseBx[i] += pos.X
-					ns.baseBy[i] += pos.Y
-				}
-				continue
-			}
-			w := float64(k) / float64(k-1) / 2
-			ns.baseDiag[i] += w
-			put(s.nMov+starOf[e], w)
+			s.netTerms(c.Nets[e].Pins, s.nMov+starOf[e], 1, oneRow{fill, i})
 		}
-		if at != ns.rowStart[i+1] {
+		if at := fill.next[i]; at != ns.rowStart[i+1] {
 			return nil, false, fmt.Errorf("placer: patch: row %d filled %d of %d entries", i, at-ns.rowStart[i], ns.rowStart[i+1]-ns.rowStart[i])
 		}
 	}
@@ -206,20 +127,17 @@ func (s *System) PatchNet(netID int, oldPins []int) (*System, bool, error) {
 	// it shift by the length difference.
 	st := starOf[netID]
 	lo, hi := s.starRow[st], s.starRow[st+1]
-	shift := int32(len(newPins)) - (hi - lo)
-	ns.starPin = make([]int32, int32(len(s.starPin))+shift)
-	copy(ns.starPin[:lo], s.starPin[:lo])
+	pins := make([]int32, len(newPins))
 	for k, pid := range newPins {
-		ns.starPin[int(lo)+k] = int32(pid)
+		pins[k] = int32(pid)
 	}
-	copy(ns.starPin[lo+int32(len(newPins)):], s.starPin[hi:])
-	copy(ns.starRow[:st+1], s.starRow[:st+1])
-	for k := st + 1; k < len(s.starRow); k++ {
-		ns.starRow[k] = s.starRow[k] + shift
+	ns.starPin = slices.Concat(s.starPin[:lo], pins, s.starPin[hi:])
+	for k := st + 1; k < len(ns.starRow); k++ {
+		ns.starRow[k] += int32(len(newPins)) - (hi - lo)
 	}
 
 	ns.obs.Add("placer.system.patches", 1)
-	return ns, true, nil
+	return ns.withSolveState(), true, nil
 }
 
 // SolveDirty re-places only the dirty movable cells, holding every other
@@ -309,9 +227,7 @@ func (s *System) solveComponent(comp []int) (int, error) {
 	for li, i := range comp {
 		local[i] = li
 	}
-	diag := make([]float64, m)
-	bx := make([]float64, m)
-	by := make([]float64, m)
+	loc := diagRHS{make([]float64, m), make([]float64, m), make([]float64, m)}
 	x := make([]float64, m)
 	y := make([]float64, m)
 	type entry struct {
@@ -319,28 +235,15 @@ func (s *System) solveComponent(comp []int) (int, error) {
 		w float64
 	}
 	rows := make([][]entry, m)
+	center := c.Die.Center()
 	for li, i := range comp {
-		diag[li] = s.baseDiag[i]
-		bx[li] = s.baseBx[i]
-		by[li] = s.baseBy[i]
+		loc.diag[li] = s.baseDiag[i]
+		loc.bx[li] = s.baseBx[i]
+		loc.by[li] = s.baseBy[i]
+		p := s.seed(i)
+		x[li], y[li] = p.X, p.Y
 		if i < s.nMov {
-			pos := c.Cells[s.cells[i]].Pos
-			diag[li] += stabilityWeight
-			bx[li] += stabilityWeight * pos.X
-			by[li] += stabilityWeight * pos.Y
-			x[li], y[li] = pos.X, pos.Y
-		} else {
-			// Seed the star at its pin centroid, like prepare does.
-			st := i - s.nMov
-			lo, hi := s.starRow[st], s.starRow[st+1]
-			var cx, cy float64
-			for _, pid := range s.starPin[lo:hi] {
-				pos := c.Cells[pid].Pos
-				cx += pos.X
-				cy += pos.Y
-			}
-			k := float64(hi - lo)
-			x[li], y[li] = cx/k, cy/k
+			loc.anchor(li, p, stabilityWeight)
 		}
 		for a := s.rowStart[i]; a < s.rowStart[i+1]; a++ {
 			j := int(s.cols[a])
@@ -352,30 +255,25 @@ func (s *System) solveComponent(comp []int) (int, error) {
 				// current position. (Stars adjacent to component members
 				// are in the component by construction, so j < nMov.)
 				pos := c.Cells[s.cells[j]].Pos
-				bx[li] += w * pos.X
-				by[li] += w * pos.Y
+				loc.bx[li] += w * pos.X
+				loc.by[li] += w * pos.Y
 			}
 		}
-		if diag[li] == 0 {
-			center := c.Die.Center()
-			diag[li] = 1e-3
-			bx[li] = 1e-3 * center.X
-			by[li] = 1e-3 * center.Y
-		}
+		loc.regularize(li, center)
 	}
 	mul := func(v, out []float64) {
 		for li := range out {
-			acc := diag[li] * v[li]
+			acc := loc.diag[li] * v[li]
 			for _, e := range rows[li] {
 				acc -= e.w * v[e.j]
 			}
 			out[li] = acc
 		}
 	}
-	if err := cgSerial(mul, x, bx); err != nil {
+	if err := cgSerial(mul, x, loc.bx); err != nil {
 		return 0, err
 	}
-	if err := cgSerial(mul, y, by); err != nil {
+	if err := cgSerial(mul, y, loc.by); err != nil {
 		return 0, err
 	}
 	moved := 0
@@ -394,7 +292,8 @@ func (s *System) solveComponent(comp []int) (int, error) {
 }
 
 // cgSerial is a deterministic single-threaded conjugate-gradients solve of
-// mul(x) = b, warm-started from x. Tolerances match the placer defaults.
+// mul(x) = b, warm-started from x, at the placer's default tolerance and
+// iteration budget.
 func cgSerial(mul func(v, out []float64), x, b []float64) error {
 	n := len(b)
 	r := make([]float64, n)
@@ -411,8 +310,8 @@ func cgSerial(mul func(v, out []float64), x, b []float64) error {
 		rr += r[i] * r[i]
 		bb += b[i] * b[i]
 	}
-	tol2 := 1e-6 * 1e-6 * math.Max(bb, 1)
-	for iter := 0; iter < 600 && rr > tol2; iter++ {
+	tol2 := cgTol * cgTol * math.Max(bb, 1)
+	for iter := 0; iter < cgMaxIter && rr > tol2; iter++ {
 		mul(p, ap)
 		pap := 0.0
 		for i := range p {

@@ -178,6 +178,48 @@ func TestPatchNetMatchesRebuild(t *testing.T) {
 	}
 	sameSystems(t, "chained drop sink", patched2, fresh2)
 
+	// Edit 3, stacked again: add as a sink a movable gate whose other net is
+	// a 2-pin net ending at a fixed pad, so the affected-row recompute folds
+	// that pad into the row's base diagonal and right-hand side.
+	padGate, e3 := -1, -1
+	for _, net := range c.Nets {
+		if len(net.Pins) != 2 {
+			continue
+		}
+		a, b := c.Cells[net.Pins[0]], c.Cells[net.Pins[1]]
+		if a.Fixed && !b.Fixed && b.Kind == netlist.Gate {
+			padGate = b.ID
+		} else if b.Fixed && !a.Fixed && a.Kind == netlist.Gate {
+			padGate = a.ID
+		}
+		if padGate >= 0 {
+			break
+		}
+	}
+	if padGate < 0 {
+		t.Fatal("no movable gate on a 2-pin net to a fixed pad")
+	}
+	for _, id := range stars {
+		on := false
+		for _, p := range c.Nets[id].Pins {
+			on = on || p == padGate
+		}
+		if !on {
+			e3 = id
+			break
+		}
+	}
+	old = addSink(c, e3, padGate)
+	patched3, ok, err := patched2.PatchNet(e3, old)
+	if err != nil || !ok {
+		t.Fatalf("patch pad-neighbor sink: ok=%v err=%v", ok, err)
+	}
+	fresh3, err := NewSystem(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSystems(t, "chained pad-neighbor sink", patched3, fresh3)
+
 	if err := c.Validate(); err != nil {
 		t.Fatalf("edited circuit invalid: %v", err)
 	}

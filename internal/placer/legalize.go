@@ -116,9 +116,9 @@ func Legalize(c *netlist.Circuit) error {
 	return nil
 }
 
-// MaxOverlap returns the largest pairwise overlap area among movable cells,
-// a legality metric for tests (0 means overlap-free). It is O(n^2) on bins,
-// intended for validation, not production loops.
+// MaxOverlap returns the largest pairwise overlap area among movable cells
+// (0 means overlap-free). It compares every pair of movable cells, O(n^2) in
+// their count; core.Audit runs it on every rotaryflow run.
 func MaxOverlap(c *netlist.Circuit) float64 {
 	var cells []*netlist.Cell
 	for _, cell := range c.Cells {

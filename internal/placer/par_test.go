@@ -84,7 +84,7 @@ func BenchmarkCGSolve(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sys.prepare(&opt, nil, 0)
+				sys.prepare(&opt, nil, 0, 0)
 				ws := wsPool.Get().(*solveWS)
 				sys.solve(opt.CGTol, cgMaxIter, workers, ws, nil)
 				wsPool.Put(ws)
@@ -106,7 +106,7 @@ func BenchmarkCGScratchReuse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys.prepare(&opt, nil, 0)
+	sys.prepare(&opt, nil, 0, 0)
 	ws := wsPool.Get().(*solveWS)
 	defer wsPool.Put(ws)
 	b.ReportAllocs()

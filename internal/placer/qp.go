@@ -64,12 +64,18 @@ const (
 	spreadAlpha = 0.05
 	// cgMaxIter is the conjugate-gradients iteration budget per solve.
 	cgMaxIter = 600
+	// cgTol is the default relative residual tolerance of a solve
+	// (Options.CGTol) and the fixed one of the dirty-region solves.
+	cgTol = 1e-6
 	// mlRefine is the number of equalize+re-solve rounds per level on the
 	// multilevel V-cycle's way back down.
 	mlRefine = 2
 	// stabilityWeight is the anchor weight holding every movable cell near
 	// its current position in incremental and dirty-region solves.
 	stabilityWeight = 6.0
+	// regWeight is the weak die-center anchor that keeps a fully
+	// disconnected unknown's row positive definite.
+	regWeight = 1e-3
 )
 
 // Options tunes the placer.
@@ -121,9 +127,6 @@ type Options struct {
 	// bins is the spreading grid resolution per axis, derived by normalize
 	// from the solve's movable cell count.
 	bins int
-	// anchorWeight, when positive, adds a stability anchor from every
-	// movable cell to its current position; Incremental sets it.
-	anchorWeight float64
 	// rebuildEachSolve (test-only) assembles a fresh System before every
 	// re-solve, reproducing the pre-reuse rebuild-every-time path so tests
 	// can assert the two paths are bit-identical.
@@ -136,7 +139,7 @@ func (o *Options) normalize(movable int) {
 	}
 	o.bins = int(math.Max(4, math.Sqrt(float64(movable)/4)))
 	if o.CGTol <= 0 {
-		o.CGTol = 1e-6
+		o.CGTol = cgTol
 	}
 	if o.MLCoarsest <= 0 {
 		o.MLCoarsest = 2500
@@ -172,10 +175,9 @@ type System struct {
 	cells    []int   // unknown index -> cell ID (star nodes: -1)
 	idx      map[int]int
 
-	// Mutable per-solve state, reset by prepare.
-	diag []float64
-	bx   []float64
-	by   []float64
+	// Mutable per-solve state (diag, bx, by, posX, posY), allocated by
+	// withSolveState and reset by prepare.
+	diagRHS
 	posX []float64
 	posY []float64
 
@@ -190,11 +192,153 @@ type System struct {
 	obs *obs.Registry // resolved per call; nil when disarmed
 }
 
-// anchor accumulates one overlay anchor term into the working system.
-func (s *System) anchor(i int, p geom.Point, w float64) {
-	s.diag[i] += w
-	s.bx[i] += w * p.X
-	s.by[i] += w * p.Y
+// diagRHS is the diagonal and the two right-hand sides of a system: the
+// parts an anchor term touches.
+type diagRHS struct {
+	diag, bx, by []float64
+}
+
+// anchor accumulates one anchor term: unknown i pulled toward p at weight w.
+func (d diagRHS) anchor(i int, p geom.Point, w float64) {
+	d.diag[i] += w
+	d.bx[i] += w * p.X
+	d.by[i] += w * p.Y
+}
+
+// regularize anchors unknown i weakly at the die center when nothing else
+// touches its row, so the system stays positive definite.
+func (d diagRHS) regularize(i int, center geom.Point) {
+	if d.diag[i] == 0 {
+		d.anchor(i, center, regWeight)
+	}
+}
+
+// base returns the immutable base diagonal and right-hand sides.
+func (s *System) base() diagRHS { return diagRHS{s.baseDiag, s.baseBx, s.baseBy} }
+
+// withSolveState gives s fresh per-solve working arrays for its n unknowns
+// and returns it.
+func (s *System) withSolveState() *System {
+	n := s.n
+	s.diagRHS = diagRHS{make([]float64, n), make([]float64, n), make([]float64, n)}
+	s.posX = make([]float64, n)
+	s.posY = make([]float64, n)
+	s.wcur = s.w
+	return s
+}
+
+// termSink receives the matrix terms netTerms emits.
+type termSink interface {
+	// edge couples unknowns i and j at weight w.
+	edge(i, j int, w float64)
+	// anchor pulls unknown i toward the fixed point p at weight w.
+	anchor(i int, p geom.Point, w float64)
+}
+
+// netTerms emits the terms of one net, every weight scaled by f. It is the
+// placer's one net model: NewSystem assembles it, the NetWeights overlay
+// rescales it and PatchNet recomputes edited rows from it. A 2-pin net is
+// an edge between its movable pins at weight f or, when one pin is fixed,
+// an anchor of the movable pin at the fixed one. A k-pin net (k >= 3) is a
+// star: every pin ties to star node star at weight k/(k-1)/2*f, a movable
+// pin by an edge and a fixed pin by an anchor of the star. Nets with fewer
+// than 2 pins emit nothing.
+func (s *System) netTerms(pins []int, star int, f float64, t termSink) {
+	switch k := len(pins); {
+	case k == 2:
+		a, b := pins[0], pins[1]
+		ia, aOK := s.idx[a]
+		ib, bOK := s.idx[b]
+		switch {
+		case aOK && bOK:
+			t.edge(ia, ib, f)
+		case aOK:
+			t.anchor(ia, s.c.Cells[b].Pos, f)
+		case bOK:
+			t.anchor(ib, s.c.Cells[a].Pos, f)
+		}
+	case k >= 3:
+		w := float64(k) / float64(k-1) / 2 * f
+		for _, pid := range pins {
+			if ip, ok := s.idx[pid]; ok {
+				t.edge(ip, star, w)
+			} else {
+				t.anchor(star, s.c.Cells[pid].Pos, w)
+			}
+		}
+	}
+}
+
+// allTerms emits the terms of every net in net-ID order, net ni scaled by
+// scale(ni), with star nodes numbered from nMov in the same order.
+func (s *System) allTerms(scale func(ni int) float64, t termSink) {
+	star := s.nMov
+	for ni, net := range s.c.Nets {
+		s.netTerms(net.Pins, star, scale(ni), t)
+		if len(net.Pins) >= 3 {
+			star++
+		}
+	}
+}
+
+func unitScale(int) float64 { return 1 }
+
+// degrees counts CSR entries per row: an edge adds one to each endpoint's
+// row, an anchor none.
+type degrees []int32
+
+func (d degrees) edge(i, j int, _ float64) {
+	d[i]++
+	d[j]++
+}
+
+func (degrees) anchor(int, geom.Point, float64) {}
+
+// rowFill writes emitted terms into CSR rows: a term adds its weight to its
+// row's diagonal (an anchor also to the right-hand sides), and an edge
+// writes the neighbor into the next free slot of each endpoint's row. With
+// nil cols only the weights are written — the column layout is already in
+// place.
+type rowFill struct {
+	diagRHS
+	cols []int32
+	w    []float64
+	next []int32 // per-row fill cursor
+}
+
+func (f *rowFill) edge(i, j int, w float64) {
+	f.put(i, j, w)
+	f.put(j, i, w)
+}
+
+func (f *rowFill) put(i, j int, w float64) {
+	f.diag[i] += w
+	if f.cols != nil {
+		f.cols[f.next[i]] = int32(j)
+	}
+	f.w[f.next[i]] = w
+	f.next[i]++
+}
+
+// oneRow passes on only the terms that land in row i.
+type oneRow struct {
+	f *rowFill
+	i int
+}
+
+func (r oneRow) edge(i, j int, w float64) {
+	if i == r.i {
+		r.f.put(i, j, w)
+	}
+	if j == r.i {
+		r.f.put(j, i, w)
+	}
+}
+
+func (r oneRow) anchor(i int, p geom.Point, w float64) {
+	if i == r.i {
+		r.f.anchor(i, p, w)
+	}
 }
 
 // NewSystem assembles the immutable connectivity part of the circuit's
@@ -214,15 +358,21 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 		}
 	}
 	nMov := len(cells)
-	// Count star nodes and their pins.
-	nStar, nStarPin := 0, 0
-	for _, n := range c.Nets {
-		if len(n.Pins) >= 3 {
-			nStar++
-			nStarPin += len(n.Pins)
+	// One star node per 3+-pin net, in net order, with its pin list so
+	// prepare can re-seed the star at its pins' current centroid before
+	// every solve.
+	starRow := []int32{0}
+	var starPin []int32
+	for _, net := range c.Nets {
+		if len(net.Pins) >= 3 {
+			for _, pid := range net.Pins {
+				starPin = append(starPin, int32(pid))
+			}
+			starRow = append(starRow, int32(len(starPin)))
+			cells = append(cells, -1)
 		}
 	}
-	n := nMov + nStar
+	n := len(cells)
 	s := &System{
 		c:        c,
 		n:        n,
@@ -230,48 +380,19 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 		baseDiag: make([]float64, n),
 		baseBx:   make([]float64, n),
 		baseBy:   make([]float64, n),
-		starRow:  make([]int32, nStar+1),
-		starPin:  make([]int32, 0, nStarPin),
-		cells:    make([]int, n),
+		starRow:  starRow,
+		starPin:  starPin,
+		cells:    cells,
 		idx:      idx,
-		diag:     make([]float64, n),
-		bx:       make([]float64, n),
-		by:       make([]float64, n),
-		posX:     make([]float64, n),
-		posY:     make([]float64, n),
 		obs:      obs.Resolve(reg),
 	}
-	for i := range s.cells {
-		s.cells[i] = -1
-	}
-	copy(s.cells, cells)
 
-	// Counting pass: per-row adjacency degrees (each edge contributes one
-	// entry to both endpoint rows).
-	deg := make([]int32, n+1)
-	star := nMov
-	for _, net := range c.Nets {
-		k := len(net.Pins)
-		if k < 2 {
-			continue
-		}
-		if k == 2 {
-			ia, aOK := idx[net.Pins[0]]
-			ib, bOK := idx[net.Pins[1]]
-			if aOK && bOK {
-				deg[ia]++
-				deg[ib]++
-			}
-			continue
-		}
-		for _, pid := range net.Pins {
-			if ip, ok := idx[pid]; ok {
-				deg[ip]++
-				deg[star]++
-			}
-		}
-		star++
-	}
+	// Counting pass sizes the rows; the fill pass then walks the nets in the
+	// same order, so per-row neighbor order and the base diag/bx/by
+	// accumulation order match the historical slice-of-slices build exactly
+	// (the bit-identity contract of DESIGN.md section 10).
+	deg := make(degrees, n)
+	s.allTerms(unitScale, deg)
 	s.rowStart = make([]int32, n+1)
 	for i := 0; i < n; i++ {
 		s.rowStart[i+1] = s.rowStart[i] + deg[i]
@@ -279,72 +400,12 @@ func NewSystem(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 	total := int(s.rowStart[n])
 	s.cols = make([]int32, total)
 	s.w = make([]float64, total)
-	s.wcur = s.w
-
-	// Fill pass: identical net traversal, so per-row neighbor order and the
-	// diag/bx/by accumulation order match the historical slice-of-slices
-	// build exactly (the bit-identity contract of DESIGN.md section 10).
 	next := make([]int32, n)
 	copy(next, s.rowStart[:n])
-	addEdge := func(i, j int, w float64) {
-		s.baseDiag[i] += w
-		s.baseDiag[j] += w
-		s.cols[next[i]] = int32(j)
-		s.w[next[i]] = w
-		next[i]++
-		s.cols[next[j]] = int32(i)
-		s.w[next[j]] = w
-		next[j]++
-	}
-	addAnchor := func(i int, p geom.Point, w float64) {
-		s.baseDiag[i] += w
-		s.baseBx[i] += w * p.X
-		s.baseBy[i] += w * p.Y
-	}
-	star = nMov
-	si := 0
-	for _, net := range c.Nets {
-		k := len(net.Pins)
-		if k < 2 {
-			continue
-		}
-		if k == 2 {
-			a, b := net.Pins[0], net.Pins[1]
-			ia, aOK := idx[a]
-			ib, bOK := idx[b]
-			switch {
-			case aOK && bOK:
-				addEdge(ia, ib, 1)
-			case aOK:
-				addAnchor(ia, c.Cells[b].Pos, 1)
-			case bOK:
-				addAnchor(ib, c.Cells[a].Pos, 1)
-			}
-			continue
-		}
-		// Star: every pin connects to the star node with weight k/(k-1).
-		// The pin list is recorded so prepare can re-seed the star at the
-		// pins' current centroid before every solve.
-		w := float64(k) / float64(k-1) / 2
-		for _, pid := range net.Pins {
-			s.starPin = append(s.starPin, int32(pid))
-			if ip, ok := idx[pid]; ok {
-				addEdge(ip, star, w)
-			} else {
-				addAnchor(star, c.Cells[pid].Pos, w)
-			}
-		}
-		s.starRow[si+1] = int32(len(s.starPin))
-		si++
-		star++
-	}
+	s.allTerms(unitScale, &rowFill{diagRHS: s.base(), cols: s.cols, w: s.w, next: next})
 	s.obs.Add("placer.system.builds", 1)
-	return s, nil
+	return s.withSolveState(), nil
 }
-
-// Circuit returns the circuit this system solves for (the one it was built
-// from, or the one it was forked onto).
-func (s *System) Circuit() *netlist.Circuit { return s.c }
 
 // Fork returns a System bound to circuit c that shares this System's
 // immutable connectivity arrays (CSR Laplacian, base diagonal and right-hand
@@ -369,7 +430,18 @@ func (s *System) Fork(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 		return nil, fmt.Errorf("placer: fork: circuit %q (%d cells, %d nets) does not match template %q (%d cells, %d nets)",
 			c.Name, len(c.Cells), len(c.Nets), s.c.Name, len(s.c.Cells), len(s.c.Nets))
 	}
-	ns := &System{
+	ns := s.shared(c).withSolveState()
+	if reg != nil {
+		ns.obs = reg
+	}
+	ns.obs.Add("placer.system.forks", 1)
+	return ns, nil
+}
+
+// shared returns a System on circuit c that shares s's immutable
+// connectivity and has no per-solve state yet.
+func (s *System) shared(c *netlist.Circuit) *System {
+	return &System{
 		c:        c,
 		n:        s.n,
 		nMov:     s.nMov,
@@ -383,31 +455,39 @@ func (s *System) Fork(c *netlist.Circuit, reg *obs.Registry) (*System, error) {
 		starPin:  s.starPin,
 		cells:    s.cells,
 		idx:      s.idx,
-		diag:     make([]float64, s.n),
-		bx:       make([]float64, s.n),
-		by:       make([]float64, s.n),
-		posX:     make([]float64, s.n),
-		posY:     make([]float64, s.n),
 		obs:      s.obs,
 	}
-	ns.wcur = ns.w
-	if reg != nil {
-		ns.obs = reg
+}
+
+// seed returns where every solve starts unknown i: a movable cell's current
+// position, or a star node's pin centroid at the current positions.
+func (s *System) seed(i int) geom.Point {
+	if i < s.nMov {
+		return s.c.Cells[s.cells[i]].Pos
 	}
-	ns.obs.Add("placer.system.forks", 1)
-	return ns, nil
+	st := i - s.nMov
+	lo, hi := s.starRow[st], s.starRow[st+1]
+	var cx, cy float64
+	for _, pid := range s.starPin[lo:hi] {
+		pos := s.c.Cells[pid].Pos
+		cx += pos.X
+		cy += pos.Y
+	}
+	k := float64(hi - lo)
+	return geom.Pt(cx/k, cy/k)
 }
 
 // prepare resets the working system to the immutable base and reapplies the
 // per-solve anchor overlay in the same accumulation order the historical
 // per-solve build used: positions and star seeds from the circuit, then
 // opt.PseudoNets, then extra pseudo-nets at extraScale times their weight,
-// then stability anchors, then the disconnected-node regularization.
+// then stability anchors holding every movable cell at its current position
+// (when stability > 0), then the disconnected-node regularization.
 //
-// With opt.NetWeights set, the reset step replays the build's fill pass with
-// each net's terms scaled instead of copying the base arrays; the immutable
-// CSR is never mutated either way.
-func (s *System) prepare(opt *Options, extra []PseudoNet, extraScale float64) {
+// With opt.NetWeights set, the reset step re-emits every net's terms scaled
+// instead of copying the base arrays; the immutable CSR is never mutated
+// either way.
+func (s *System) prepare(opt *Options, extra []PseudoNet, extraScale, stability float64) {
 	s.obs.Add("placer.system.reuses", 1)
 	if len(opt.NetWeights) > 0 {
 		s.applyNetWeights(opt.NetWeights)
@@ -417,59 +497,40 @@ func (s *System) prepare(opt *Options, extra []PseudoNet, extraScale float64) {
 		copy(s.bx, s.baseBx)
 		copy(s.by, s.baseBy)
 	}
-	c := s.c
-	for i := 0; i < s.nMov; i++ {
-		pos := c.Cells[s.cells[i]].Pos
-		s.posX[i] = pos.X
-		s.posY[i] = pos.Y
-	}
-	for st := 0; st < len(s.starRow)-1; st++ {
-		lo, hi := s.starRow[st], s.starRow[st+1]
-		var cx, cy float64
-		for _, pid := range s.starPin[lo:hi] {
-			pos := c.Cells[pid].Pos
-			cx += pos.X
-			cy += pos.Y
-		}
-		k := float64(hi - lo)
-		s.posX[s.nMov+st] = cx / k
-		s.posY[s.nMov+st] = cy / k
+	for i := 0; i < s.n; i++ {
+		p := s.seed(i)
+		s.posX[i], s.posY[i] = p.X, p.Y
 	}
 
 	// Pseudo-nets and stability anchors.
-	for _, pn := range opt.PseudoNets {
-		if i, ok := s.idx[pn.Cell]; ok && pn.Weight > 0 {
-			s.anchor(i, pn.Target, pn.Weight)
-		}
-	}
-	for _, pn := range extra {
-		if i, ok := s.idx[pn.Cell]; ok {
-			if w := pn.Weight * extraScale; w > 0 {
-				s.anchor(i, pn.Target, w)
+	pull := func(nets []PseudoNet, scale float64) {
+		for _, pn := range nets {
+			if i, ok := s.idx[pn.Cell]; ok {
+				if w := pn.Weight * scale; w > 0 {
+					s.anchor(i, pn.Target, w)
+				}
 			}
 		}
 	}
-	if opt.anchorWeight > 0 {
+	pull(opt.PseudoNets, 1)
+	pull(extra, extraScale)
+	if stability > 0 {
 		for i := 0; i < s.nMov; i++ {
-			s.anchor(i, c.Cells[s.cells[i]].Pos, opt.anchorWeight)
+			s.anchor(i, s.seed(i), stability)
 		}
 	}
-	// Regularize fully disconnected unknowns toward the die center so the
-	// system stays positive definite.
-	center := c.Die.Center()
+	center := s.c.Die.Center()
 	for i := 0; i < s.n; i++ {
-		if s.diag[i] == 0 {
-			s.anchor(i, center, 1e-3)
-		}
+		s.regularize(i, center)
 	}
 }
 
 // applyNetWeights rebuilds the working diag/bx/by and the scaled weight
-// array by replaying NewSystem's fill pass with every term of net i
-// multiplied by scale[i] (out-of-range indices scale at 1). The traversal
-// and accumulation order are identical to the build's, so a scale vector of
-// all-1.0 reproduces the base arrays bit-for-bit (w * 1.0 == w in IEEE 754)
-// and therefore the untouched path's positions exactly.
+// array by re-emitting every net's terms into the existing CSR layout, net
+// i scaled by scale[i] (out-of-range indices scale at 1). The emission order
+// is NewSystem's, so a scale vector of all-1.0 reproduces the base arrays
+// bit-for-bit (w * 1.0 == w in IEEE 754) and therefore the untouched path's
+// positions exactly.
 func (s *System) applyNetWeights(scale []float64) {
 	s.obs.Add("placer.system.reweights", 1)
 	if s.wScaled == nil {
@@ -477,25 +538,10 @@ func (s *System) applyNetWeights(scale []float64) {
 		s.rowNext = make([]int32, s.n)
 	}
 	s.wcur = s.wScaled
-	for i := 0; i < s.n; i++ {
-		s.diag[i], s.bx[i], s.by[i] = 0, 0, 0
-	}
-	c := s.c
-	next := s.rowNext
-	copy(next, s.rowStart[:s.n])
-	addEdge := func(i, j int, w float64) {
-		s.diag[i] += w
-		s.diag[j] += w
-		s.wScaled[next[i]] = w
-		next[i]++
-		s.wScaled[next[j]] = w
-		next[j]++
-	}
-	addAnchor := func(i int, p geom.Point, w float64) {
-		s.diag[i] += w
-		s.bx[i] += w * p.X
-		s.by[i] += w * p.Y
-	}
+	clear(s.diag)
+	clear(s.bx)
+	clear(s.by)
+	copy(s.rowNext, s.rowStart[:s.n])
 	// Armed SitePlacerReweight silently perturbs every scale, breaking the
 	// all-ones bit-identity contract — the wrong-answer failure mode the
 	// core/timing-identity oracle must catch.
@@ -503,63 +549,70 @@ func (s *System) applyNetWeights(scale []float64) {
 	if faultinject.Hook(faultinject.SitePlacerReweight) != nil {
 		perturb = 1e-3
 	}
-	sc := func(ni int) float64 {
-		f := perturb
+	s.allTerms(func(ni int) float64 {
 		if ni < len(scale) {
-			return scale[ni] + f
+			return scale[ni] + perturb
 		}
-		return 1 + f
+		return 1 + perturb
+	}, &rowFill{diagRHS: s.diagRHS, w: s.wScaled, next: s.rowNext})
+}
+
+// solver is one solve entry call at work — Global, Incremental, SolveQP or
+// one V-cycle level: the system, its normalized options, the CG worker
+// count, and a pooled CG workspace taken at the first round (a Global that
+// hands off to the V-cycle never rounds, so it holds none while the levels
+// take theirs).
+type solver struct {
+	s       *System
+	opt     Options
+	workers int
+	ws      *solveWS
+}
+
+// begin is the one entry preamble of the placer's solves: it validates the
+// circuit, normalizes opt for the system's movable count and binds the
+// telemetry registry. A nil solver with a nil error means there is nothing
+// to place. The caller releases the solver with done.
+func (s *System) begin(opt Options) (*solver, error) {
+	if err := validate(s.c); err != nil {
+		return nil, err
 	}
-	star := s.nMov
-	for ni, net := range c.Nets {
-		k := len(net.Pins)
-		if k < 2 {
-			continue
-		}
-		f := sc(ni)
-		if k == 2 {
-			a, b := net.Pins[0], net.Pins[1]
-			ia, aOK := s.idx[a]
-			ib, bOK := s.idx[b]
-			switch {
-			case aOK && bOK:
-				addEdge(ia, ib, 1*f)
-			case aOK:
-				addAnchor(ia, c.Cells[b].Pos, 1*f)
-			case bOK:
-				addAnchor(ib, c.Cells[a].Pos, 1*f)
-			}
-			continue
-		}
-		w := float64(k) / float64(k-1) / 2 * f
-		for _, pid := range net.Pins {
-			if ip, ok := s.idx[pid]; ok {
-				addEdge(ip, star, w)
-			} else {
-				addAnchor(star, c.Cells[pid].Pos, w)
-			}
-		}
-		star++
+	opt.normalize(s.nMov)
+	if s.nMov == 0 {
+		return nil, nil
+	}
+	s.obs = obs.Resolve(opt.Obs)
+	return &solver{s: s, opt: opt, workers: par.Workers(opt.Parallelism)}, nil
+}
+
+// done returns the solver's workspace to the pool.
+func (p *solver) done() {
+	if p.ws != nil {
+		wsPool.Put(p.ws)
 	}
 }
 
-// solveRound runs one prepare+solve+writeBack round and reports convergence.
+// round runs one prepare+solve+writeBack round and reports convergence.
 // Under opt.rebuildEachSolve (test-only) it assembles a fresh System first,
 // reproducing the historical rebuild-every-time path.
-func (s *System) solveRound(opt *Options, extra []PseudoNet, extraScale float64, workers int, ws *solveWS) (bool, error) {
-	sys := s
+func (p *solver) round(extra []PseudoNet, extraScale, stability float64) (bool, error) {
+	if p.ws == nil {
+		p.ws = wsPool.Get().(*solveWS)
+	}
+	opt := &p.opt
+	sys := p.s
 	if opt.rebuildEachSolve {
-		fresh, err := NewSystem(s.c, opt.Obs)
+		fresh, err := NewSystem(p.s.c, opt.Obs)
 		if err != nil {
 			return false, err
 		}
 		sys = fresh
 	}
-	sys.prepare(opt, extra, extraScale)
-	converged, serr := sys.solve(opt.CGTol, cgMaxIter, workers, ws, opt.Stop)
+	sys.prepare(opt, extra, extraScale, stability)
+	converged, serr := sys.solve(opt.CGTol, cgMaxIter, p.workers, p.ws, opt.Stop)
 	// Best-effort positions reach the circuit even on cancellation, so the
 	// caller's snapshot/degrade path always sees a consistent placement.
-	sys.writeBack(s.c)
+	sys.writeBack(p.s.c)
 	return converged, serr
 }
 
@@ -611,22 +664,19 @@ func (s *System) solve(tol float64, maxIter, workers int, ws *solveWS, tok *stop
 	if faultinject.Hook(faultinject.SitePlacerCG) != nil {
 		return false, nil // injected stagnation: exercise the retry path
 	}
+	var okX, okY bool
+	var errX, errY error
 	if workers > 1 {
 		half := workers / 2
-		var okX, okY bool
-		var errX, errY error
 		par.Do(workers,
 			func() { okX, errX = s.cg(s.posX, s.bx, tol, maxIter, half, &ws.x, tok) },
 			func() { okY, errY = s.cg(s.posY, s.by, tol, maxIter, workers-half, &ws.y, tok) })
-		if errX != nil {
-			return okX && okY, errX // x before y: deterministic error choice
-		}
-		return okX && okY, errY
+	} else {
+		okX, errX = s.cg(s.posX, s.bx, tol, maxIter, 1, &ws.x, tok)
+		okY, errY = s.cg(s.posY, s.by, tol, maxIter, 1, &ws.y, tok)
 	}
-	okX, errX := s.cg(s.posX, s.bx, tol, maxIter, 1, &ws.x, tok)
-	okY, errY := s.cg(s.posY, s.by, tol, maxIter, 1, &ws.y, tok)
 	if errX != nil {
-		return okX && okY, errX
+		return okX && okY, errX // x before y: deterministic error choice
 	}
 	return okX && okY, errY
 }
@@ -706,6 +756,14 @@ func (s *System) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScr
 	if bnorm == 0 {
 		bnorm = 1
 	}
+	// settle records the current iterate's exit residual and whether it
+	// meets the tolerance.
+	settle := func() bool {
+		rcur := math.Sqrt(dot(r, r, workers))
+		rel = rcur / bnorm
+		converged = rcur <= tol*bnorm
+		return converged
+	}
 	rz := par.MapReduce(workers, n, vecGrain, func(lo, hi int) float64 {
 		acc := 0.0
 		for i := lo; i < hi; i++ {
@@ -718,10 +776,7 @@ func (s *System) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScr
 	for iter := 0; iter < maxIter; iter++ {
 		if serr := stop.Check(tok, faultinject.SitePlacerCGCancel); serr != nil {
 			stopped = true
-			rcur := math.Sqrt(dot(r, r, workers))
-			rel = rcur / bnorm
-			converged = rcur <= tol*bnorm
-			return converged, fmt.Errorf("placer: conjugate gradients: %w", serr)
+			return settle(), fmt.Errorf("placer: conjugate gradients: %w", serr)
 		}
 		rn := dot(r, r, workers)
 		if math.Sqrt(rn) <= tol*bnorm {
@@ -734,10 +789,7 @@ func (s *System) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScr
 		if pap <= 0 {
 			// Numerical breakdown; current x is best effort. Converged only
 			// if the residual already meets the tolerance.
-			rcur := math.Sqrt(dot(r, r, workers))
-			rel = rcur / bnorm
-			converged = rcur <= tol*bnorm
-			return converged, nil
+			return settle(), nil
 		}
 		alpha := rz / pap
 		par.Chunks(workers, n, vecGrain, func(lo, hi int) {
@@ -764,10 +816,7 @@ func (s *System) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScr
 		iters++
 	}
 	// Iteration budget exhausted: residual stagnated above tolerance.
-	rcur := math.Sqrt(dot(r, r, workers))
-	rel = rcur / bnorm
-	converged = rcur <= tol*bnorm
-	return converged, nil
+	return settle(), nil
 }
 
 // SolveQP runs one pure quadratic solve of the system — prepare with the
@@ -778,25 +827,23 @@ func (s *System) cg(x, b []float64, tol float64, maxIter, workers int, ws *cgScr
 // dense Gaussian-elimination reference; the flow itself always goes through
 // Global/Incremental.
 func (s *System) SolveQP(opt Options) error {
-	if err := validate(s.c); err != nil {
+	p, err := s.begin(opt)
+	if p == nil {
 		return err
 	}
-	opt.normalize(s.nMov)
-	if s.nMov == 0 {
-		return nil
+	defer p.done()
+	converged, err := p.round(nil, 0, 0)
+	return finish(converged, err, "quadratic solve")
+}
+
+// finish is an entry's error after its final round: the round's own error,
+// else ErrNonConverged wrapped with what when the round did not converge
+// (its best-effort positions are already on the circuit).
+func finish(converged bool, err error, what string) error {
+	if err == nil && !converged {
+		return fmt.Errorf("placer: %s: %w", what, ErrNonConverged)
 	}
-	s.obs = obs.Resolve(opt.Obs)
-	workers := par.Workers(opt.Parallelism)
-	ws := wsPool.Get().(*solveWS)
-	defer wsPool.Put(ws)
-	converged, err := s.solveRound(&opt, nil, 0, workers, ws)
-	if err != nil {
-		return err
-	}
-	if !converged {
-		return fmt.Errorf("placer: quadratic solve: %w", ErrNonConverged)
-	}
-	return nil
+	return err
 }
 
 // writeBack clamps solved positions into the die and stores them on the

@@ -1,14 +1,12 @@
 package placer
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/obs"
-	"rotaryclk/internal/par"
 )
 
 // Global runs global placement on the system's circuit: an initial
@@ -21,19 +19,14 @@ func (s *System) Global(opt Options) error {
 	if err := faultinject.Hook(faultinject.SitePlacerGlobal); err != nil {
 		return err
 	}
-	c := s.c
-	if err := validate(c); err != nil {
+	p, err := s.begin(opt)
+	if p == nil {
 		return err
 	}
-	opt.normalize(c.NumMovable())
-	if c.NumMovable() == 0 {
-		return nil
-	}
-	s.obs = obs.Resolve(opt.Obs)
+	defer p.done()
 	s.obs.Add("placer.global.calls", 1)
-	workers := par.Workers(opt.Parallelism)
-	if opt.Multilevel {
-		handled, err := s.vcycle(opt, workers)
+	if p.opt.Multilevel {
+		handled, err := s.vcycle(p.opt)
 		if handled || err != nil {
 			return err
 		}
@@ -41,41 +34,36 @@ func (s *System) Global(opt Options) error {
 		// that refuses to shrink): fall back to the flat path below.
 		s.obs.Add("placer.ml.fallback", 1)
 	}
-	return s.globalLoop(opt, workers)
+	return p.globalLoop()
 }
 
-// globalLoop is the flat global-placement body shared by the direct path and
-// the per-level solves of the multilevel V-cycle: one initial quadratic solve
-// followed by opt.SpreadIters equalize+re-solve rounds. opt must already be
-// normalized; the caller owns validation, the ML dispatch, and the
-// placer.global.calls counter.
-func (s *System) globalLoop(opt Options, workers int) error {
-	c := s.c
-	s.obs = obs.Resolve(opt.Obs)
-	ws := wsPool.Get().(*solveWS)
-	defer wsPool.Put(ws)
-	converged, err := s.solveRound(&opt, nil, 0, workers, ws)
-	if err != nil {
-		return err
-	}
+// globalLoop is the flat global-placement schedule shared by the direct path
+// and the coarsest level of the multilevel V-cycle: one unanchored initial
+// quadratic solve followed by opt.SpreadIters spreading rounds whose anchor
+// weight grows by spreadAlpha per round.
+func (p *solver) globalLoop() error {
+	return p.spread(true, p.opt.SpreadIters, func(iter int) float64 {
+		return spreadAlpha * float64(iter)
+	}, "global placement")
+}
 
-	for iter := 1; iter <= opt.SpreadIters; iter++ {
-		targets := equalize(c, opt.bins)
-		// Re-solve with anchors toward the shifted positions; the anchor
-		// strength ramps so early rounds preserve connectivity structure
-		// and late rounds enforce density.
-		w := spreadAlpha * float64(iter)
-		converged, err = s.solveRound(&opt, targets, w, workers, ws)
-		if err != nil {
-			return err
-		}
+// spread runs rounds density-equalization rounds, each re-solving with
+// anchors toward the equalized positions at weight(iter), after an
+// unanchored initial solve when unanchored is set. The anchor strength
+// ramps so early rounds preserve connectivity structure and late rounds
+// enforce density. A final solve that did not converge returns an error
+// wrapping ErrNonConverged; the caller decides whether to retry with a
+// looser tolerance or keep the best-effort positions.
+func (p *solver) spread(unanchored bool, rounds int, weight func(iter int) float64, what string) error {
+	converged := true
+	var err error
+	if unanchored {
+		converged, err = p.round(nil, 0, 0)
 	}
-	if !converged {
-		// Positions are already written back (best effort); the caller
-		// decides whether to retry with a looser tolerance or keep them.
-		return fmt.Errorf("placer: global placement final solve: %w", ErrNonConverged)
+	for iter := 1; iter <= rounds && err == nil; iter++ {
+		converged, err = p.round(equalize(p.s.c, p.opt.bins), weight(iter), 0)
 	}
-	return nil
+	return finish(converged, err, what+" final solve")
 }
 
 // Incremental re-places the system's circuit starting from its current
@@ -88,29 +76,17 @@ func (s *System) Incremental(opt Options) error {
 	if err := faultinject.Hook(faultinject.SitePlacerIncremental); err != nil {
 		return err
 	}
-	c := s.c
-	if err := validate(c); err != nil {
+	p, err := s.begin(opt)
+	if p == nil {
 		return err
 	}
-	opt.normalize(c.NumMovable())
-	if c.NumMovable() == 0 {
-		return nil
-	}
-	opt.anchorWeight = stabilityWeight
-	s.obs = obs.Resolve(opt.Obs)
+	defer p.done()
 	s.obs.Add("placer.incremental.calls", 1)
-	workers := par.Workers(opt.Parallelism)
-	ws := wsPool.Get().(*solveWS)
-	defer wsPool.Put(ws)
-	converged, err := s.solveRound(&opt, nil, 0, workers, ws)
-	if err != nil {
-		return err
-	}
-	if len(opt.PseudoNets) == 0 {
-		if !converged {
-			return fmt.Errorf("placer: incremental placement solve: %w", ErrNonConverged)
-		}
-		return nil // pure stability re-solve; nothing piled up
+	converged, err := p.round(nil, 0, stabilityWeight)
+	if err != nil || len(opt.PseudoNets) == 0 {
+		// Without pseudo-nets this was a pure stability re-solve: nothing
+		// piled up.
+		return finish(converged, err, "incremental placement solve")
 	}
 	// One light equalization pass keeps pseudo-net pile-ups legalizable.
 	// Only the pulled cells (the pseudo-net targets, i.e. the flip-flops)
@@ -120,21 +96,9 @@ func (s *System) Incremental(opt Options) error {
 	for _, pn := range opt.PseudoNets {
 		pulled[pn.Cell] = true
 	}
-	targets := equalize(c, opt.bins)
-	filtered := targets[:0]
-	for _, tg := range targets {
-		if pulled[tg.Cell] {
-			filtered = append(filtered, tg)
-		}
-	}
-	converged, err = s.solveRound(&opt, filtered, 0.1, workers, ws)
-	if err != nil {
-		return err
-	}
-	if !converged {
-		return fmt.Errorf("placer: incremental placement final solve: %w", ErrNonConverged)
-	}
-	return nil
+	targets := slices.DeleteFunc(equalize(s.c, p.opt.bins), func(tg PseudoNet) bool { return !pulled[tg.Cell] })
+	converged, err = p.round(targets, 0.1, stabilityWeight)
+	return finish(converged, err, "incremental placement final solve")
 }
 
 // equalize computes per-cell spreading targets by FastPlace-style cell

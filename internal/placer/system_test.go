@@ -207,7 +207,7 @@ func BenchmarkSystemBuildVsReuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sys.prepare(&opt, nil, 0)
+			sys.prepare(&opt, nil, 0, 0)
 		}
 	})
 	b.Run("reuse", func(b *testing.B) {
@@ -218,7 +218,7 @@ func BenchmarkSystemBuildVsReuse(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sys.prepare(&opt, nil, 0)
+			sys.prepare(&opt, nil, 0, 0)
 		}
 	})
 }

@@ -23,7 +23,6 @@ import (
 	"rotaryclk/internal/faultinject"
 	"rotaryclk/internal/geom"
 	"rotaryclk/internal/netlist"
-	"rotaryclk/internal/obs"
 	"rotaryclk/internal/stop"
 )
 
@@ -46,7 +45,7 @@ type mlLevel struct {
 // circuit writes) when the instance is degenerate for clustering — too small,
 // all fixed, or connectivity that refuses to shrink — in which case the
 // caller falls back to the flat path. opt must already be normalized.
-func (s *System) vcycle(opt Options, workers int) (handled bool, err error) {
+func (s *System) vcycle(opt Options) (handled bool, err error) {
 	// Build the hierarchy bottom-up. Coarsening stops at MLCoarsest movable
 	// cells or when a level shrinks by less than 20% — matching saturates on
 	// dense cluster connectivity, and levels that barely shrink cost more in
@@ -83,7 +82,7 @@ func (s *System) vcycle(opt Options, workers int) (handled bool, err error) {
 	// Coarsest level: full global placement over the clusters (initial solve
 	// plus the configured spreading schedule, at cluster scale).
 	top := len(levels) - 1
-	if err := s.mlSolveLevel(levels, top, opt, opt.SpreadIters, workers); err != nil {
+	if err := s.mlSolveLevel(levels, top, opt, opt.SpreadIters); err != nil {
 		return true, err
 	}
 
@@ -112,7 +111,7 @@ func (s *System) vcycle(opt Options, workers int) (handled bool, err error) {
 		// peak live heap off the fine-level solves, which at 512k cells is
 		// worth more than a full refinement round.
 		levels[l+1] = nil
-		if err := s.mlSolveLevel(levels, l, opt, mlRefine, workers); err != nil {
+		if err := s.mlSolveLevel(levels, l, opt, mlRefine); err != nil {
 			return true, err
 		}
 	}
@@ -132,15 +131,14 @@ func (s *System) vcycle(opt Options, workers int) (handled bool, err error) {
 // solve is exactly what must NOT run there — its solution is independent of
 // the starting iterate, so it would discard the interpolated coarse result
 // and degenerate the V-cycle into an expensive flat run.
-func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int, workers int) error {
+func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int) error {
 	lv := levels[l]
 	lopt := opt
 	lopt.Multilevel = false
 	lopt.PseudoNets = lv.pseudo
 	lopt.NetWeights = lv.weights
-	lopt.normalize(lv.sys.c.NumMovable())
-	var err error
-	if l == len(levels)-1 {
+	coarsest := l == len(levels)-1
+	if coarsest {
 		lopt.SpreadIters = rounds
 		// The coarsest solution is only a starting structure — every finer
 		// level re-solves on top of it — so the flat path's tight CG
@@ -149,9 +147,15 @@ func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int,
 		if lopt.CGTol < 1e-3 {
 			lopt.CGTol = 1e-3
 		}
-		err = lv.sys.globalLoop(lopt, workers)
-	} else {
-		err = lv.sys.refineLoop(lopt, workers, rounds)
+	}
+	p, err := lv.sys.begin(lopt)
+	if p != nil {
+		defer p.done()
+		if coarsest {
+			err = p.globalLoop()
+		} else {
+			err = p.refineLoop(rounds)
+		}
 	}
 	if err == nil {
 		return nil
@@ -165,7 +169,7 @@ func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int,
 		s.obs.Add("placer.ml.stagnated", 1)
 		return nil
 	}
-	if l > 0 && !errors.Is(err, ErrNonConverged) {
+	if l > 0 {
 		return fmt.Errorf("placer: multilevel level %d: %w", l, err)
 	}
 	return err
@@ -177,27 +181,12 @@ func (s *System) mlSolveLevel(levels []*mlLevel, l int, opt Options, rounds int,
 // (spreadAlpha*SpreadIters). Anchors are present from the first solve — the
 // interpolated coarse placement, not a fresh unanchored QP solution, is the
 // structure being refined — which also keeps every CG solve strongly
-// diagonally dominant and therefore cheap. opt must already be normalized.
-func (s *System) refineLoop(opt Options, workers int, rounds int) error {
-	c := s.c
-	s.obs = obs.Resolve(opt.Obs)
-	ws := wsPool.Get().(*solveWS)
-	defer wsPool.Put(ws)
-	final := spreadAlpha * float64(opt.SpreadIters)
-	converged := true
-	for iter := 1; iter <= rounds; iter++ {
-		targets := equalize(c, opt.bins)
-		w := final * float64(iter) / float64(rounds)
-		var err error
-		converged, err = s.solveRound(&opt, targets, w, workers, ws)
-		if err != nil {
-			return err
-		}
-	}
-	if !converged {
-		return fmt.Errorf("placer: multilevel refinement final solve: %w", ErrNonConverged)
-	}
-	return nil
+// diagonally dominant and therefore cheap.
+func (p *solver) refineLoop(rounds int) error {
+	final := spreadAlpha * float64(p.opt.SpreadIters)
+	return p.spread(false, rounds, func(iter int) float64 {
+		return final * float64(iter) / float64(rounds)
+	}, "multilevel refinement")
 }
 
 // mlProjectDown interpolates positions from level l all the way onto the real

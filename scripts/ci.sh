@@ -36,7 +36,8 @@
 #   scripts/ci.sh eco     ECO smoke: the ECO outcome golden, the corrupted-
 #                         patch oracle negative, the cold-versus-warm kernel
 #                         tests (skew warm start, assignment patch, mcmf
-#                         preload + cycle canceling), then 20 random single-delta
+#                         preload + cycle canceling, placer system patch and
+#                         dirty-region solve), then 20 random single-delta
 #                         edits at 20k cells through the incremental path, every edit
 #                         proven equivalent to the from-scratch arm, mean
 #                         edit latency at least 5x faster than a full
@@ -235,6 +236,7 @@ eco)
     go test ./internal/skew/ -run '^TestWarmStart' -count=1
     go test ./internal/assign/ -run '^TestPatchMinCost' -count=1
     go test ./internal/mcmf/ -run '^(TestPreloadCancelAugmentMatchesScratch|TestCancelNegativeCycles)' -count=1
+    go test ./internal/placer/ -run '^(TestPatchNet|TestSolveDirty)' -count=1
     go test ./internal/bench/ -run '^TestECOBenchPoint$' -count=1
     ROTARY_ECO_SMOKE=1 go test -timeout "$timeout" \
         -run '^TestECOSmoke20k$' -count=1 -v ./internal/bench/
